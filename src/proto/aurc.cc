@@ -8,7 +8,8 @@ int64_t AurcProtocol::ProtocolMemoryBytes() const {
   return known_interval_bytes_ + SubclassMemoryBytes();
 }
 
-void AurcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
+void AurcProtocol::OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
+                                    CloseActions* actions) {
   PageList kept;
   for (PageId p : rec->pages) {
     // Flushes route via the static home (which forwards after a migration);
@@ -17,8 +18,8 @@ void AurcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) 
     const NodeId home = HomeOf(p);
     if (IsHomeHere(p)) {
       HLRC_CHECK(!pages().HasTwin(p));
-      SetApplied(p, self(), rec->id);
-      writer_streak_.erase(p);  // The home is writing: no migration streak.
+      meta_.SetApplied(p, self(), rec->id);
+      meta_.ClearStreak(p);  // The home is writing: no migration streak.
       kept.push_back(p);
       continue;
     }
@@ -30,7 +31,7 @@ void AurcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) 
       continue;
     }
     kept.push_back(p);
-    UpdateRequired(p, self(), rec->id);
+    meta_.UpdateRequired(p, self(), rec->id);
     // The automatic-update hardware streamed these words out as they were
     // stored: no diff-creation cost, no diffs_created accounting (Table 4's
     // "AURC uses no diff operations"), but write-through amplification on the

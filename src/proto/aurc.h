@@ -27,7 +27,8 @@ class AurcProtocol : public HlrcProtocol {
   int64_t ProtocolMemoryBytes() const override;
 
  protected:
-  void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) override;
+  void OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
+                        CloseActions* actions) override;
   void HandleProtocolMessage(Message msg) override;
   SimTime WriteCaptureCost() const override { return 0; }
 };

@@ -6,7 +6,8 @@
 
 namespace hlrc {
 
-void ErcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
+void ErcProtocol::OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
+                                   CloseActions* actions) {
   std::vector<Diff> diffs;
   int64_t update_bytes = 0;
   for (PageId p : rec->pages) {
@@ -71,7 +72,7 @@ void ErcProtocol::FlushBarrier(std::function<void()> done) {
   flush_waiters_.push_back(std::move(done));
 }
 
-bool ErcProtocol::OnWriteNotice(const IntervalRecord& /*rec*/, PageId /*page*/) {
+bool ErcProtocol::OnWriteNotice(const IntervalPtr& /*rec*/, PageId /*page*/) {
   // Never reached: no interval records are published (see OnIntervalClosed).
   return false;
 }

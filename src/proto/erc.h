@@ -28,8 +28,9 @@ class ErcProtocol : public ProtocolNode {
   int64_t updates_broadcast() const { return updates_broadcast_; }
 
  protected:
-  void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) override;
-  bool OnWriteNotice(const IntervalRecord& rec, PageId page) override;
+  void OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
+                        CloseActions* actions) override;
+  bool OnWriteNotice(const IntervalPtr& rec, PageId page) override;
   Task<void> ResolveFault(PageId page, bool write) override;
   void HandleProtocolMessage(Message msg) override;
   int64_t SubclassMemoryBytes() const override;

@@ -3,69 +3,13 @@
 #include <algorithm>
 
 #include "src/common/log.h"
-#include <cstring>
 #include <utility>
 
 namespace hlrc {
 
-// ---------------------------------------------------------------------------
-// Required / applied flush timestamp bookkeeping.
-
-void HlrcProtocol::UpdateRequired(PageId page, NodeId writer, uint32_t id) {
-  Required& req = required_flush_[page];
-  for (auto& [w, i] : req) {
-    if (w == writer) {
-      if (id > i) {
-        i = id;
-        ++required_epoch_[page];
-      }
-      return;
-    }
-  }
-  req.emplace_back(writer, id);
-  ++required_epoch_[page];
-}
-
-uint64_t HlrcProtocol::RequiredEpoch(PageId page) const {
-  auto it = required_epoch_.find(page);
-  return it == required_epoch_.end() ? 0 : it->second;
-}
-
 NodeId HlrcProtocol::BelievedHomeOf(PageId page) const {
-  auto it = home_override_.find(page);
-  return it == home_override_.end() ? HomeOf(page) : it->second;
-}
-
-const HlrcProtocol::Required* HlrcProtocol::RequiredOf(PageId page) const {
-  auto it = required_flush_.find(page);
-  return it == required_flush_.end() ? nullptr : &it->second;
-}
-
-void HlrcProtocol::SetApplied(PageId page, NodeId writer, uint32_t id) {
-  auto it = applied_flush_.find(page);
-  if (it == applied_flush_.end()) {
-    it = applied_flush_.emplace(page, std::vector<uint32_t>(static_cast<size_t>(nodes()), 0))
-             .first;
-  }
-  uint32_t& slot = it->second[static_cast<size_t>(writer)];
-  slot = std::max(slot, id);
-}
-
-uint32_t HlrcProtocol::GetApplied(PageId page, NodeId writer) const {
-  auto it = applied_flush_.find(page);
-  if (it == applied_flush_.end()) {
-    return 0;
-  }
-  return it->second[static_cast<size_t>(writer)];
-}
-
-bool HlrcProtocol::AppliedSatisfies(PageId page, const Required& required) const {
-  for (const auto& [writer, id] : required) {
-    if (GetApplied(page, writer) < id) {
-      return false;
-    }
-  }
-  return true;
+  const NodeId home = meta_.HomeOverride(page);
+  return home == kInvalidNode ? HomeOf(page) : home;
 }
 
 // ---------------------------------------------------------------------------
@@ -73,7 +17,8 @@ bool HlrcProtocol::AppliedSatisfies(PageId page, const Required& required) const
 // here update the master copy in place — no twin, no diff (the "home
 // effect", paper §4.4).
 
-void HlrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
+void HlrcProtocol::OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
+                                    CloseActions* actions) {
   PageList kept;
   std::vector<std::function<void()>> flushes;          // Non-overlapped sends.
   std::vector<std::pair<SimTime, std::function<void()>>> cop_work;  // Overlapped.
@@ -84,8 +29,8 @@ void HlrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) 
     const NodeId home = HomeOf(p);
     if (IsHomeHere(p)) {
       HLRC_CHECK(!pages().HasTwin(p));
-      SetApplied(p, self(), rec->id);
-      writer_streak_.erase(p);  // The home is writing: no migration streak.
+      meta_.SetApplied(p, self(), rec->id);
+      meta_.ClearStreak(p);  // The home is writing: no migration streak.
       kept.push_back(p);
       continue;
     }
@@ -103,7 +48,7 @@ void HlrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) 
     Trace(TraceEvent::kDiffFlush, p, home);
     // A later fetch of this page must not return a home copy that predates
     // our own flush, or our writes would be lost: require our own interval.
-    UpdateRequired(p, self(), rec->id);
+    meta_.UpdateRequired(p, self(), rec->id);
     const SimTime create_cost = costs().DiffCreateCost(pages().page_size(), d.DataBytes());
     const int64_t diff_bytes = d.EncodedSize();
     inflight_diff_bytes_ += diff_bytes;
@@ -157,15 +102,14 @@ void HlrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) 
 // ---------------------------------------------------------------------------
 // Write notices.
 
-bool HlrcProtocol::OnWriteNotice(const IntervalRecord& rec, PageId page) {
-  UpdateRequired(page, rec.writer, rec.id);
+bool HlrcProtocol::OnWriteNotice(const IntervalPtr& rec, PageId page) {
+  meta_.UpdateRequired(page, rec->writer, rec->id);
   PageState& st = pages().State(page);
   if (IsHomeHere(page)) {
     // The master copy lives here. If the announced diffs have already been
     // applied there is nothing to do — this is why home accesses take no
     // page faults. Only an in-flight diff forces a temporary invalidation.
-    const Required* req = RequiredOf(page);
-    if (req == nullptr || AppliedSatisfies(page, *req)) {
+    if (meta_.RequiredApplied(page)) {
       return false;
     }
   }
@@ -190,16 +134,12 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
     if (home == self()) {
       // Wait for in-flight diffs to land on the master copy; purely local.
       // Loop: new write notices may extend the requirement while waiting.
-      while (true) {
-        const Required* req = RequiredOf(page);
-        if (req == nullptr || AppliedSatisfies(page, *req)) {
-          break;
-        }
-        HLRC_CHECK(fault_waiting_.find(page) == fault_waiting_.end());
-        FaultWait& fw = fault_waiting_[page];
+      while (!meta_.RequiredApplied(page)) {
+        HLRC_CHECK(meta_.at(page).fault == nullptr);
+        FaultWait& fw = *(meta_.at(page).fault = std::make_unique<FaultWait>());
         fw.done = std::make_unique<Completion>(engine());
         co_await *fw.done;
-        fault_waiting_.erase(page);
+        meta_.at(page).fault.reset();
       }
     } else {
       // Fetch from the home. If a new write notice for this page arrives
@@ -207,39 +147,29 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
       // another node's notices mid-computation), the reply predates the
       // newly-announced diff: fetch again.
       while (true) {
-        const uint64_t epoch = RequiredEpoch(page);
+        const uint64_t epoch = meta_.RequiredEpoch(page);
         ++stats_.page_fetches;
         MetricFetch(page, pages().page_size());
         Trace(TraceEvent::kPageFetch, page, home);
         HLRC_TRACE("[%lld] node %d: fetch page=%d from home %d", (long long)engine()->Now(),
                    self(), page, home);
-        HLRC_CHECK(fault_waiting_.find(page) == fault_waiting_.end());
-        FaultWait& fw = fault_waiting_[page];
+        HLRC_CHECK(meta_.at(page).fault == nullptr);
+        FaultWait& fw = *(meta_.at(page).fault = std::make_unique<FaultWait>());
         fw.done = std::make_unique<Completion>(engine());
-
-        auto payload = std::make_unique<HomePageRequestPayload>();
-        payload->page = page;
-        payload->requester = self();
-        const Required* req = RequiredOf(page);
-        if (req != nullptr) {
-          payload->required = *req;
-        }
-        const int64_t req_bytes = 16 + 8 * static_cast<int64_t>(payload->required.size());
         {
           // Chain the request from the fault root (scoped: the context must
           // not survive across the suspension below).
           SpanCause sc(this, cur_fault_span_);
-          Send(home, MsgType::kPageRequest, 0, req_bytes, std::move(payload));
+          SendPageRequest(home, page, self(), meta_.get(page).required);
         }
 
         co_await *fw.done;
-        FaultWait& done_fw = fault_waiting_[page];
-        const bool transfer_satisfied = done_fw.already_installed;
+        const bool transfer_satisfied = fw.already_installed;
         if (!transfer_satisfied) {
-          InstallPageData(page, *done_fw.data);
+          InstallPageData(page, *fw.data);
         }
-        fault_waiting_.erase(page);
-        if (transfer_satisfied || RequiredEpoch(page) == epoch) {
+        meta_.at(page).fault.reset();  // Frees `fw`.
+        if (transfer_satisfied || meta_.RequiredEpoch(page) == epoch) {
           // A home transfer made this node the page's home: its copy IS the
           // master now; no re-fetch regardless of epoch churn.
           break;
@@ -267,21 +197,6 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
   }
   MarkDirty(page);
   co_return;
-  }
-}
-
-void HlrcProtocol::InstallPageData(PageId page, const std::vector<std::byte>& data) {
-  HLRC_CHECK(static_cast<int64_t>(data.size()) == pages().page_size());
-  std::byte* dst = pages().PageData(page);
-  if (pages().HasTwin(page)) {
-    // Preserve local writes of the open interval (multiple-writer pages).
-    Diff local = CreateDiff(page, pages().State(page).twin.get(), dst, pages().page_size(),
-                            env().options->diff_word_bytes);
-    std::memcpy(dst, data.data(), data.size());
-    std::memcpy(pages().State(page).twin.get(), data.data(), data.size());
-    ApplyDiff(local, dst, pages().page_size());
-  } else {
-    std::memcpy(dst, data.data(), data.size());
   }
 }
 
@@ -317,7 +232,7 @@ void HlrcProtocol::HandleDiffFlush(NodeId writer, PageId page, uint32_t interval
   }
   ++stats_.diffs_applied;
   MetricDiffApplied(page, diff.DataBytes());
-  SetApplied(page, writer, interval);
+  meta_.SetApplied(page, writer, interval);
   WakeLocalFaultIfReady(page);
   ServePendingRequests(page);
   MaybeMigrateHome(page, writer);
@@ -327,7 +242,7 @@ void HlrcProtocol::MaybeMigrateHome(PageId page, NodeId writer) {
   if (!env().options->migrate_homes || writer == self()) {
     return;
   }
-  if (fault_waiting_.find(page) != fault_waiting_.end()) {
+  if (meta_.get(page).fault != nullptr) {
     // A local access is waiting for this page's in-flight diffs; migrating
     // now would forward those diffs to the new home and strand the waiter.
     return;
@@ -337,97 +252,62 @@ void HlrcProtocol::MaybeMigrateHome(PageId page, NodeId writer) {
     // handing the page away now would orphan those uncommitted writes.
     return;
   }
-  WriterStreak& streak = writer_streak_[page];
-  if (streak.writer != writer) {
-    streak.writer = writer;
-    streak.count = 0;
-  }
-  if (++streak.count < env().options->migrate_threshold) {
+  if (!meta_.CountStreak(page, writer, env().options->migrate_threshold)) {
     return;
   }
   // A stable remote single writer: hand it the home so its future writes hit
   // the home effect (no twins, no diffs, no flushes).
-  writer_streak_.erase(page);
-  ++homes_migrated_;
   auto payload = std::make_unique<HomeTransferPayload>();
   payload->page = page;
   payload->old_home = self();
   payload->data.assign(pages().PageData(page), pages().PageData(page) + pages().page_size());
-  auto ait = applied_flush_.find(page);
-  if (ait != applied_flush_.end()) {
-    payload->applied = ait->second;
-  } else {
-    payload->applied.assign(static_cast<size_t>(nodes()), 0);
-  }
-  home_override_[page] = writer;
-  applied_flush_.erase(page);
+  payload->applied = meta_.TakeApplied(page);
+  meta_.SetHomeOverride(page, writer);
   // Any parked requests chase the new home.
-  auto pit = pending_reqs_.find(page);
-  if (pit != pending_reqs_.end()) {
-    std::vector<PendingReq> reqs = std::move(pit->second);
-    pending_reqs_.erase(pit);
-    for (PendingReq& req : reqs) {
-      auto fwd = std::make_unique<HomePageRequestPayload>();
-      fwd->page = page;
-      fwd->requester = req.requester;
-      fwd->required = std::move(req.required);
-      const int64_t fwd_bytes = 16 + 8 * static_cast<int64_t>(fwd->required.size());
-      Send(writer, MsgType::kPageRequest, 0, fwd_bytes, std::move(fwd));
-    }
+  for (PendingReq& req : meta_.TakeParked(page, /*all=*/true)) {
+    SendPageRequest(writer, page, req.requester, std::move(req.required));
   }
   const int64_t transfer_bytes = 16 + 4 * static_cast<int64_t>(payload->applied.size());
   Send(writer, MsgType::kHomeTransfer, pages().page_size(), transfer_bytes,
        std::move(payload));
 }
 
-void HlrcProtocol::HandleHomeTransfer(PageId page, NodeId old_home,
-                                      const std::vector<std::byte>& data,
+void HlrcProtocol::HandleHomeTransfer(PageId page, const std::vector<std::byte>& data,
                                       const std::vector<uint32_t>& applied) {
-  (void)old_home;
   // Become the page's home: adopt the master copy (rebasing any local open
   // writes) and the applied-flush state.
   InstallPageData(page, data);
   pages().DropTwin(page);  // The master needs no twin at its home.
-  applied_flush_[page] = applied;
-  SetApplied(page, self(), vt().Get(self()));
-  home_override_[page] = self();
+  meta_.AdoptApplied(page, applied);
+  meta_.SetApplied(page, self(), vt().Get(self()));
+  meta_.SetHomeOverride(page, self());
   if (pages().State(page).prot == PageProt::kNone) {
     pages().State(page).prot = PageProt::kRead;
   }
   // A fetch of this very page may be in flight (we asked the old home just
   // before becoming the home): the transferred master satisfies it. The
   // now-redundant forwarded reply is dropped on arrival.
-  auto fit = fault_waiting_.find(page);
-  if (fit != fault_waiting_.end() && fit->second.done != nullptr &&
-      !fit->second.done->IsDone()) {
-    fit->second.already_installed = true;  // InstallPageData above covered it.
-    fit->second.done->Complete();
+  FaultWait* fw = meta_.at(page).fault.get();
+  if (fw != nullptr && !fw->done->IsDone()) {
+    fw->already_installed = true;  // InstallPageData above covered it.
+    fw->done->Complete();
   }
   ServePendingRequests(page);
 }
 
 void HlrcProtocol::WakeLocalFaultIfReady(PageId page) {
-  auto it = fault_waiting_.find(page);
-  if (it == fault_waiting_.end() || it->second.done == nullptr) {
-    return;
-  }
-  const Required* req = RequiredOf(page);
-  if (req == nullptr || AppliedSatisfies(page, *req)) {
-    it->second.done->Complete();
+  const FaultWait* fw = meta_.get(page).fault.get();
+  if (fw != nullptr && meta_.RequiredApplied(page)) {
+    fw->done->Complete();
   }
 }
 
 void HlrcProtocol::HandlePageRequest(PageId page, NodeId requester, Required required) {
   if (!IsHomeHere(page)) {
-    auto fwd = std::make_unique<HomePageRequestPayload>();
-    fwd->page = page;
-    fwd->requester = requester;
-    fwd->required = std::move(required);
-    const int64_t fwd_bytes = 16 + 8 * static_cast<int64_t>(fwd->required.size());
-    Send(BelievedHomeOf(page), MsgType::kPageRequest, 0, fwd_bytes, std::move(fwd));
+    SendPageRequest(BelievedHomeOf(page), page, requester, std::move(required));
     return;
   }
-  if (AppliedSatisfies(page, required)) {
+  if (meta_.AppliedSatisfies(page, required)) {
     SendPageReply(page, requester);
     return;
   }
@@ -435,11 +315,20 @@ void HlrcProtocol::HandlePageRequest(PageId page, NodeId requester, Required req
   // (paper §2.4.2).
   HLRC_TRACE("[%lld] home %d: park request page=%d from node %d", (long long)engine()->Now(),
              self(), page, requester);
-  pending_reqs_[page].push_back(
-      PendingReq{requester, std::move(required), active_span_, engine()->Now()});
+  meta_.Park(page, PendingReq{requester, std::move(required), active_span_, engine()->Now()});
 }
 
-HlrcProtocol::PageSnapshot HlrcProtocol::SnapshotPage(PageId page) {
+void HlrcProtocol::SendPageRequest(NodeId to, PageId page, NodeId requester,
+                                   Required required) {
+  auto payload = std::make_unique<HomePageRequestPayload>();
+  payload->page = page;
+  payload->requester = requester;
+  payload->required = std::move(required);
+  const int64_t bytes = 16 + 8 * static_cast<int64_t>(payload->required.size());
+  Send(to, MsgType::kPageRequest, 0, bytes, std::move(payload));
+}
+
+PageSnapshot HlrcProtocol::SnapshotPage(PageId page) {
   const std::byte* src = pages().PageData(page);
   return std::make_shared<const std::vector<std::byte>>(src, src + pages().page_size());
 }
@@ -456,11 +345,6 @@ void HlrcProtocol::SendPageReply(PageId page, NodeId requester, PageSnapshot sna
 }
 
 void HlrcProtocol::ServePendingRequests(PageId page) {
-  auto it = pending_reqs_.find(page);
-  if (it == pending_reqs_.end()) {
-    return;
-  }
-  auto& reqs = it->second;
   // Request combining (--coalesce): every parked request this pass satisfies
   // is answered from one shared immutable snapshot — the master copy cannot
   // change between replies (we are inside one service handler), so copying it
@@ -469,33 +353,25 @@ void HlrcProtocol::ServePendingRequests(PageId page) {
   const bool combine = env().options->coalesce;
   PageSnapshot snapshot;
   int64_t shared_replies = 0;
-  for (auto rit = reqs.begin(); rit != reqs.end();) {
-    if (AppliedSatisfies(page, rit->required)) {
-      // The stretch this request sat parked waiting for in-flight diffs:
-      // charged to the home, chained from the parked request so it lands on
-      // the requester's fault critical path.
-      const SpanId hw = SpanEmit(SpanKind::kHomeWait, rit->parked_at, rit->span, page,
-                                 rit->requester);
-      SpanCause sc(this, hw);
-      if (combine) {
-        if (snapshot == nullptr) {
-          snapshot = SnapshotPage(page);
-        }
-        ++shared_replies;
-        SendPageReply(page, rit->requester, snapshot);
-      } else {
-        SendPageReply(page, rit->requester);
+  for (const PendingReq& req : meta_.TakeParked(page, /*all=*/false)) {
+    // The stretch this request sat parked waiting for in-flight diffs:
+    // charged to the home, chained from the parked request so it lands on
+    // the requester's fault critical path.
+    const SpanId hw = SpanEmit(SpanKind::kHomeWait, req.parked_at, req.span, page,
+                               req.requester);
+    SpanCause sc(this, hw);
+    if (combine) {
+      if (snapshot == nullptr) {
+        snapshot = SnapshotPage(page);
       }
-      rit = reqs.erase(rit);
+      ++shared_replies;
+      SendPageReply(page, req.requester, snapshot);
     } else {
-      ++rit;
+      SendPageReply(page, req.requester);
     }
   }
   if (shared_replies >= 2) {
     stats_.page_replies_combined += shared_replies;
-  }
-  if (reqs.empty()) {
-    pending_reqs_.erase(it);
   }
 }
 
@@ -534,29 +410,29 @@ void HlrcProtocol::HandleProtocolMessage(Message msg) {
             [this, cause, t_arrive, page = p->page, home = p->home,
              data = std::move(p->data)]() mutable {
               SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause, page));
-              if (home != self() && (home != HomeOf(page) || home_override_.count(page) != 0)) {
-                home_override_[page] = home;  // Path shortening after migration.
+              if (home != self() &&
+                  (home != HomeOf(page) || meta_.HomeOverride(page) != kInvalidNode)) {
+                meta_.SetHomeOverride(page, home);  // Path shortening after migration.
               }
-              auto it = fault_waiting_.find(page);
-              if (it == fault_waiting_.end() || it->second.done == nullptr ||
-                  it->second.done->IsDone()) {
+              FaultWait* fw = meta_.at(page).fault.get();
+              if (fw == nullptr || fw->done->IsDone()) {
                 // The fetch was already satisfied by a home transfer (this is
                 // the forwarded reply catching up) — drop it.
                 return;
               }
-              it->second.data = std::move(data);
-              it->second.done->Complete();
+              fw->data = std::move(data);
+              fw->done->Complete();
             });
       return;
     }
     case MsgType::kHomeTransfer: {
       auto* p = static_cast<HomeTransferPayload*>(msg.payload.get());
       ServeDataRequest(costs().service_fixed, BusyCat::kService,
-                       [this, cause, t_arrive, page = p->page, old_home = p->old_home,
-                        data = std::move(p->data), applied = std::move(p->applied)] {
+                       [this, cause, t_arrive, page = p->page, data = std::move(p->data),
+                        applied = std::move(p->applied)] {
                          SpanCause sc(this,
                                       SpanEmit(SpanKind::kService, t_arrive, cause, page));
-                         HandleHomeTransfer(page, old_home, data, applied);
+                         HandleHomeTransfer(page, data, applied);
                        });
       return;
     }
@@ -564,29 +440,6 @@ void HlrcProtocol::HandleProtocolMessage(Message msg) {
       HLRC_CHECK_MSG(false, "HLRC node %d: unexpected message type %d", self(),
                      static_cast<int>(msg.type));
   }
-}
-
-int64_t HlrcProtocol::pending_request_count() const {
-  int64_t n = 0;
-  for (const auto& [page, reqs] : pending_reqs_) {
-    n += static_cast<int64_t>(reqs.size());
-  }
-  return n;
-}
-
-int64_t HlrcProtocol::SubclassMemoryBytes() const {
-  // Home-based protocol data: per-page flush timestamps and transient diffs.
-  // Write notices carry no vector timestamps (paper §4.7).
-  int64_t required_bytes = 0;
-  for (const auto& [page, req] : required_flush_) {
-    required_bytes += 8 * static_cast<int64_t>(req.size());
-  }
-  int64_t applied_bytes =
-      static_cast<int64_t>(applied_flush_.size()) * 4 * static_cast<int64_t>(nodes());
-  const int64_t migration_bytes =
-      static_cast<int64_t>(home_override_.size()) * 8 +
-      static_cast<int64_t>(writer_streak_.size()) * 12;
-  return required_bytes + applied_bytes + inflight_diff_bytes_ + migration_bytes;
 }
 
 }  // namespace hlrc

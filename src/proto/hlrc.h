@@ -15,55 +15,30 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "src/proto/page_meta.h"
 #include "src/proto/protocol.h"
 
 namespace hlrc {
 
 class HlrcProtocol : public ProtocolNode {
  public:
-  explicit HlrcProtocol(const Env& env) : ProtocolNode(env) {}
-
-  // Test/bench introspection.
-  int64_t pending_request_count() const;
-  int64_t homes_migrated() const { return homes_migrated_; }
+  explicit HlrcProtocol(const Env& env) : ProtocolNode(env), meta_(env.nodes) {}
 
  protected:
-  void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) override;
-  bool OnWriteNotice(const IntervalRecord& rec, PageId page) override;
+  void OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
+                        CloseActions* actions) override;
+  bool OnWriteNotice(const IntervalPtr& rec, PageId page) override;
   Task<void> ResolveFault(PageId page, bool write) override;
   void HandleProtocolMessage(Message msg) override;
-  int64_t SubclassMemoryBytes() const override;
+  int64_t SubclassMemoryBytes() const override {
+    return meta_.MemoryBytes() + inflight_diff_bytes_;
+  }
 
   // Cost of capturing writes on a page (twin creation). The AURC subclass
   // overrides this to zero: automatic-update hardware snoops the bus.
   virtual SimTime WriteCaptureCost() const { return costs().TwinCost(pages().page_size()); }
-
-  using Required = std::vector<std::pair<NodeId, uint32_t>>;
-  // Immutable page snapshot shared between replies (request combining) and
-  // with the delivered payload — same discipline as the interval log's
-  // shared immutable batches.
-  using PageSnapshot = std::shared_ptr<const std::vector<std::byte>>;
-
-  struct FaultWait {
-    PageSnapshot data;  // Page contents from the home's reply.
-    // Set when a home transfer satisfied the fetch and already installed the
-    // master (with twin rebase): the fetch path must not install again.
-    bool already_installed = false;
-    std::unique_ptr<Completion> done;
-  };
-
-  struct PendingReq {
-    NodeId requester;
-    Required required;
-    // Span tracing: the parked request's causal context and park time, so the
-    // home-wait stretch shows up on the requester's fault critical path.
-    SpanId span = kNoSpan;
-    SimTime parked_at = 0;
-  };
 
   // The node currently believed to home `page`: a migration override if one
   // is known, else the static assignment. Flushes still route via the static
@@ -72,22 +47,9 @@ class HlrcProtocol : public ProtocolNode {
   NodeId BelievedHomeOf(PageId page) const;
   bool IsHomeHere(PageId page) const { return BelievedHomeOf(page) == self(); }
 
-  // Required-flush bookkeeping (faulting side). Protected: the AURC subclass
-  // reuses the home machinery with a different update-capture model.
-  void UpdateRequired(PageId page, NodeId writer, uint32_t id);
-  const Required* RequiredOf(PageId page) const;
-  // Bumped whenever a page's required set grows; lets an in-flight fetch
-  // detect that a new write notice arrived while it waited for the home.
-  uint64_t RequiredEpoch(PageId page) const;
-
-  // Applied-flush bookkeeping (home side).
-  void SetApplied(PageId page, NodeId writer, uint32_t id);
-  uint32_t GetApplied(PageId page, NodeId writer) const;
-  bool AppliedSatisfies(PageId page, const Required& required) const;
-
   void HandleDiffFlush(NodeId writer, PageId page, uint32_t interval, const Diff& diff);
   void MaybeMigrateHome(PageId page, NodeId writer);
-  void HandleHomeTransfer(PageId page, NodeId old_home, const std::vector<std::byte>& data,
+  void HandleHomeTransfer(PageId page, const std::vector<std::byte>& data,
                           const std::vector<uint32_t>& applied);
   void HandlePageRequest(PageId page, NodeId requester, Required required);
   // `snapshot` is null for a one-off reply (a fresh copy is taken); request
@@ -96,22 +58,12 @@ class HlrcProtocol : public ProtocolNode {
   PageSnapshot SnapshotPage(PageId page);
   void ServePendingRequests(PageId page);
   void WakeLocalFaultIfReady(PageId page);
-  void InstallPageData(PageId page, const std::vector<std::byte>& data);
+  void SendPageRequest(NodeId to, PageId page, NodeId requester, Required required);
 
-  std::unordered_map<PageId, std::vector<uint32_t>> applied_flush_;
-  std::unordered_map<PageId, std::vector<PendingReq>> pending_reqs_;
-  std::unordered_map<PageId, Required> required_flush_;
-  std::unordered_map<PageId, uint64_t> required_epoch_;
-  std::unordered_map<PageId, FaultWait> fault_waiting_;
-
-  // Home migration state.
-  std::unordered_map<PageId, NodeId> home_override_;
-  struct WriterStreak {
-    NodeId writer = kInvalidNode;
-    int count = 0;
-  };
-  std::unordered_map<PageId, WriterStreak> writer_streak_;
-  int64_t homes_migrated_ = 0;
+  // Required stamps (faulting side), applied stamps (home side), parked
+  // requests, local fault waits and migration state, one entry per page.
+  // Protected: the AURC subclass reuses the home machinery.
+  HlrcPageTable meta_;
 
   // Diffs created but not yet flushed (co-processor still working). Writers
   // discard diffs the moment they are sent (paper §2.3).
@@ -133,14 +85,14 @@ struct DiffFlushPayload : Payload {
 struct HomePageRequestPayload : Payload {
   PageId page;
   NodeId requester;
-  std::vector<std::pair<NodeId, uint32_t>> required;
+  Required required;
 };
 
 struct HomePageReplyPayload : Payload {
   PageId page;
   NodeId home;  // The actual serving home (updates the requester's override).
   // Immutable: combined replies to concurrent requesters share one snapshot.
-  std::shared_ptr<const std::vector<std::byte>> data;
+  PageSnapshot data;
 };
 
 struct HomeTransferPayload : Payload {

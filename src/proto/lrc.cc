@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/log.h"
-#include <cstring>
 #include <utility>
 
 namespace hlrc {
@@ -13,9 +12,10 @@ namespace hlrc {
 // diffs at the end of each interval, on the compute processor for LRC and on
 // the co-processor for OLRC).
 
-void LrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
+void LrcProtocol::OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
+                                   CloseActions* actions) {
   PageList kept;
-  std::vector<std::pair<DiffKey, SimTime>> cop_work;
+  std::vector<std::pair<PageId, SimTime>> cop_work;
   for (PageId p : rec->pages) {
     HLRC_CHECK(pages().HasTwin(p));
     Diff d = CreateDiff(p, pages().State(p).twin.get(), pages().PageData(p),
@@ -34,32 +34,24 @@ void LrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
     const bool lazy = env().options->diff_policy == DiffPolicy::kLazy && !overlapped();
     ++stats_.diffs_created;
     MetricDiffCreated(p, d.DataBytes());
-    SetCovered(p, self(), rec->id);
+    meta_.SetCovered(p, self(), rec->id);
 
-    StoredDiff sd;
-    sd.bytes = d.EncodedSize();
-    sd.diff = std::move(d);
-    sd.vt = rec->vt;
-    sd.ready = !overlapped();
-    sd.cost_charged = !lazy;
-    sd.create_cost = create_cost;
-    diff_store_bytes_ += sd.bytes;
-    diff_store_.emplace(DiffKey{p, rec->id}, std::move(sd));
-    // Interval ids grow monotonically, so plain assignment keeps the maximum.
-    latest_diff_id_[p] = rec->id;
+    const int64_t bytes = d.EncodedSize();
+    // `rec` is sealed and published before anyone reads it from the store.
+    meta_.AddDiff(p, StoredDiff{rec, std::move(d), !overlapped(), !lazy, create_cost, bytes, {}});
 
     if (overlapped()) {
-      cop_work.emplace_back(DiffKey{p, rec->id}, create_cost);
+      cop_work.emplace_back(p, create_cost);
     } else if (!lazy) {
       actions->diff_cost += create_cost;
     }
   }
   rec->pages = std::move(kept);
   if (!cop_work.empty()) {
-    actions->post = [this, cop_work = std::move(cop_work)] {
-      for (const auto& [key, cost] : cop_work) {
+    actions->post = [this, id = rec->id, cop_work = std::move(cop_work)] {
+      for (const auto& [page, cost] : cop_work) {
         env().cop->RunService(cost, BusyCat::kDiffCreate,
-                              [this, key] { MarkDiffReady(key.first, key.second); });
+                              [this, page, id] { MarkDiffReady(page, id); });
       }
     };
   }
@@ -67,29 +59,24 @@ void LrcProtocol::OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) {
 }
 
 void LrcProtocol::MarkDiffReady(PageId page, uint32_t id) {
-  auto it = diff_store_.find(DiffKey{page, id});
-  if (it == diff_store_.end()) {
+  StoredDiff* sd = meta_.FindDiff(page, id);
+  if (sd == nullptr) {
     // A barrier-time garbage collection discarded the diff while its (purely
     // time-model) co-processor computation was still queued. No request can
     // arrive for it anymore: all pending write notices were collected too.
-    HLRC_CHECK(diff_ready_waiters_.find(DiffKey{page, id}) == diff_ready_waiters_.end());
     return;
   }
-  it->second.ready = true;
-  auto wit = diff_ready_waiters_.find(DiffKey{page, id});
-  if (wit != diff_ready_waiters_.end()) {
-    std::vector<std::function<void()>> waiters = std::move(wit->second);
-    diff_ready_waiters_.erase(wit);
-    for (auto& w : waiters) {
-      w();
-    }
+  sd->ready = true;
+  std::vector<std::function<void()>> waiters = std::move(sd->waiters);
+  for (auto& w : waiters) {
+    w();
   }
 }
 
 // ---------------------------------------------------------------------------
 // Write notices.
 
-bool LrcProtocol::OnWriteNotice(const IntervalRecord& rec, PageId page) {
+bool LrcProtocol::OnWriteNotice(const IntervalPtr& rec, PageId page) {
   PageState& st = pages().State(page);
   if (env().options->mutation == TestMutation::kLrcSkipInvalidate && !mutation_fired_ &&
       st.prot != PageProt::kNone) {
@@ -99,51 +86,10 @@ bool LrcProtocol::OnWriteNotice(const IntervalRecord& rec, PageId page) {
     mutation_fired_ = true;
     return false;
   }
-  pending_[page].push_back(PendingWn{rec.writer, rec.id, rec.vt});
-  ++pending_count_;
+  meta_.AddNotice(page, rec);
   const bool was_mapped = st.prot != PageProt::kNone;
   st.prot = PageProt::kNone;
   return was_mapped;
-}
-
-bool LrcProtocol::HasPending(PageId page) const {
-  auto it = pending_.find(page);
-  return it != pending_.end() && !it->second.empty();
-}
-
-uint32_t LrcProtocol::GetCovered(PageId page, NodeId writer) const {
-  auto it = covered_.find(page);
-  if (it == covered_.end()) {
-    return 0;
-  }
-  return it->second[static_cast<size_t>(writer)];
-}
-
-void LrcProtocol::SetCovered(PageId page, NodeId writer, uint32_t id) {
-  auto it = covered_.find(page);
-  if (it == covered_.end()) {
-    it = covered_.emplace(page, std::vector<uint32_t>(static_cast<size_t>(nodes()), 0)).first;
-  }
-  uint32_t& slot = it->second[static_cast<size_t>(writer)];
-  slot = std::max(slot, id);
-}
-
-void LrcProtocol::PrunePendingCovered(PageId page) {
-  auto it = pending_.find(page);
-  if (it == pending_.end()) {
-    return;
-  }
-  auto& vec = it->second;
-  const size_t before = vec.size();
-  vec.erase(std::remove_if(vec.begin(), vec.end(),
-                           [this, page](const PendingWn& wn) {
-                             return wn.id <= GetCovered(page, wn.writer);
-                           }),
-            vec.end());
-  pending_count_ -= static_cast<int64_t>(before - vec.size());
-  if (vec.empty()) {
-    pending_.erase(it);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -159,7 +105,7 @@ Task<void> LrcProtocol::ResolveFault(PageId page, bool write) {
       co_await FetchFullPage(page);
       continue;
     }
-    if (HasPending(page)) {
+    if (meta_.HasPending(page)) {
       co_await FetchDiffs(page);
       continue;
     }
@@ -174,7 +120,7 @@ Task<void> LrcProtocol::ResolveFault(PageId page, bool write) {
     }
     if (!pages().HasTwin(page)) {
       co_await ChargeCpu(costs().TwinCost(pages().page_size()), BusyCat::kTwin);
-      if (pages().State(page).prot == PageProt::kNone || HasPending(page)) {
+      if (pages().State(page).prot == PageProt::kNone || meta_.HasPending(page)) {
         continue;  // Invalidated during the twin charge: the data is stale.
       }
       pages().MakeTwin(page);
@@ -190,65 +136,57 @@ Task<void> LrcProtocol::ResolveFault(PageId page, bool write) {
 }
 
 Task<void> LrcProtocol::FetchDiffs(PageId page) {
-  // Group the page's pending write notices by writer; one request per writer
-  // (paper §2.1: "the acquiring processor may have to visit more than one
-  // processor to obtain diffs"). The per-writer buckets are reusable scratch
-  // (filled and drained synchronously, before the suspension below), visited
-  // in ascending writer order like the std::map they replaced.
-  if (writer_bucket_.empty()) {
-    writer_bucket_.resize(static_cast<size_t>(nodes()));
+  // Group the page's pending write notices by writer, ascending; one request
+  // per writer (paper §2.1: "the acquiring processor may have to visit more
+  // than one processor to obtain diffs").
+  std::vector<std::pair<NodeId, uint32_t>> wanted;
+  for (const IntervalPtr& wn : meta_.at(page).pending) {
+    wanted.emplace_back(wn->writer, wn->id);
   }
-  HLRC_DCHECK(writer_scratch_.empty());
-  for (const PendingWn& wn : pending_[page]) {
-    std::vector<uint32_t>& bucket = writer_bucket_[static_cast<size_t>(wn.writer)];
-    if (bucket.empty()) {
-      writer_scratch_.push_back(wn.writer);
-    }
-    bucket.push_back(wn.id);
-  }
-  std::sort(writer_scratch_.begin(), writer_scratch_.end());
-  HLRC_CHECK(!writer_scratch_.empty());
+  std::stable_sort(wanted.begin(), wanted.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  HLRC_CHECK(!wanted.empty());
 
-  HLRC_CHECK(faults_.find(page) == faults_.end());
-  FaultCtx& ctx = faults_[page];
-  ctx.replies_needed = static_cast<int>(writer_scratch_.size());
+  HLRC_CHECK(meta_.at(page).fault == nullptr);
+  LrcFaultCtx& ctx = *(meta_.at(page).fault = std::make_unique<LrcFaultCtx>());
   ctx.done = std::make_unique<Completion>(engine());
-  stats_.diff_requests_sent += static_cast<int64_t>(writer_scratch_.size());
-
   {
     // Chain the requests from the fault root (kNoSpan under GC validation).
     // Scoped: the context must not survive across the suspension below.
     SpanCause sc(this, cur_fault_span_);
-    for (NodeId writer : writer_scratch_) {
+    for (auto it = wanted.begin(); it != wanted.end();) {
+      const NodeId writer = it->first;
       HLRC_CHECK(writer != self());
-      std::vector<uint32_t>& ids = writer_bucket_[static_cast<size_t>(writer)];
-      const int64_t id_count = static_cast<int64_t>(ids.size());
       auto payload = std::make_unique<DiffRequestPayload>();
       payload->page = page;
       payload->requester = self();
-      payload->intervals = std::move(ids);
-      ids.clear();  // Moved-from: make the bucket explicitly empty for reuse.
-      Send(writer, MsgType::kDiffRequest, 0, 16 + 4 * id_count, std::move(payload));
+      for (; it != wanted.end() && it->first == writer; ++it) {
+        payload->intervals.push_back(it->second);
+      }
+      const int64_t bytes = 16 + 4 * static_cast<int64_t>(payload->intervals.size());
+      ++ctx.replies_needed;
+      ++stats_.diff_requests_sent;
+      Send(writer, MsgType::kDiffRequest, 0, bytes, std::move(payload));
     }
-    writer_scratch_.clear();
   }
 
   co_await *ctx.done;
 
-  auto collected = std::move(faults_[page].collected);
-  faults_.erase(page);
+  auto collected = std::move(meta_.at(page).fault->collected);
+  meta_.at(page).fault.reset();
 
   // Apply in happens-before order; concurrent diffs (false sharing) touch
   // disjoint words and get a deterministic tiebreak.
-  std::sort(collected.begin(), collected.end(),
-            [](const auto& a, const auto& b) { return std::get<0>(a).TotalOrderLess(std::get<0>(b)); });
+  std::sort(collected.begin(), collected.end(), [](const auto& a, const auto& b) {
+    return a.first->vt.TotalOrderLess(b.first->vt);
+  });
 
-  for (auto& [vt, id, writer, diff] : collected) {
+  for (auto& [rec, diff] : collected) {
     const SimTime t_apply = engine()->Now();
     co_await ChargeCpu(costs().DiffApplyCost(diff.DataBytes()), BusyCat::kDiffApply);
-    SpanEmit(SpanKind::kDiffApply, t_apply, cur_fault_span_, page, writer);
+    SpanEmit(SpanKind::kDiffApply, t_apply, cur_fault_span_, page, rec->writer);
     HLRC_TRACE("[%lld] node %d: apply diff page=%d writer=%d id=%u bytes=%lld",
-               (long long)engine()->Now(), self(), page, writer, id,
+               (long long)engine()->Now(), self(), page, rec->writer, rec->id,
                (long long)diff.DataBytes());
     Trace(TraceEvent::kDiffApply, page, diff.DataBytes());
     ApplyDiff(diff, pages().PageData(page), pages().page_size());
@@ -259,21 +197,21 @@ Task<void> LrcProtocol::FetchDiffs(PageId page) {
     }
     ++stats_.diffs_applied;
     MetricDiffApplied(page, diff.DataBytes());
-    SetCovered(page, writer, id);
+    meta_.SetCovered(page, rec->writer, rec->id);
   }
-  PrunePendingCovered(page);
+  meta_.PrunePendingCovered(page);
 }
 
 Task<void> LrcProtocol::FetchFullPage(PageId page) {
-  auto hint = owner_hint_.find(page);
-  const NodeId target = hint != owner_hint_.end() ? hint->second : 0;
+  const NodeId hint = meta_.OwnerHint(page);
+  const NodeId target = hint != kInvalidNode ? hint : 0;
   HLRC_CHECK(target != self());
   ++stats_.page_fetches;
   MetricFetch(page, pages().page_size());
   Trace(TraceEvent::kPageFetch, page, target);
 
-  HLRC_CHECK(faults_.find(page) == faults_.end());
-  FaultCtx& ctx = faults_[page];
+  HLRC_CHECK(meta_.at(page).fault == nullptr);
+  LrcFaultCtx& ctx = *(meta_.at(page).fault = std::make_unique<LrcFaultCtx>());
   ctx.replies_needed = 1;
   ctx.done = std::make_unique<Completion>(engine());
 
@@ -287,30 +225,13 @@ Task<void> LrcProtocol::FetchFullPage(PageId page) {
 
   co_await *ctx.done;
 
-  FaultCtx& done_ctx = faults_[page];
-  InstallPageData(page, done_ctx.page_data);
-  for (const auto& [writer, id] : done_ctx.page_covered) {
-    SetCovered(page, writer, id);
+  const std::unique_ptr<LrcFaultCtx> done_ctx = std::move(meta_.at(page).fault);
+  InstallPageData(page, done_ctx->page_data);
+  for (const auto& [writer, id] : done_ctx->page_covered) {
+    meta_.SetCovered(page, writer, id);
   }
-  faults_.erase(page);
   pages().State(page).has_copy = true;
-  PrunePendingCovered(page);
-}
-
-void LrcProtocol::InstallPageData(PageId page, const std::vector<std::byte>& data) {
-  HLRC_CHECK(static_cast<int64_t>(data.size()) == pages().page_size());
-  std::byte* dst = pages().PageData(page);
-  if (pages().HasTwin(page)) {
-    // Preserve local unflushed writes: reapply the local delta on top of the
-    // incoming copy, and rebase the twin.
-    Diff local = CreateDiff(page, pages().State(page).twin.get(), dst, pages().page_size(),
-                            env().options->diff_word_bytes);
-    std::memcpy(dst, data.data(), data.size());
-    std::memcpy(pages().State(page).twin.get(), data.data(), data.size());
-    ApplyDiff(local, dst, pages().page_size());
-  } else {
-    std::memcpy(dst, data.data(), data.size());
-  }
+  meta_.PrunePendingCovered(page);
 }
 
 // ---------------------------------------------------------------------------
@@ -319,15 +240,14 @@ void LrcProtocol::InstallPageData(PageId page, const std::vector<std::byte>& dat
 void LrcProtocol::TrySendDiffReply(PageId page, NodeId requester,
                                    const std::vector<uint32_t>& ids) {
   for (uint32_t id : ids) {
-    auto it = diff_store_.find(DiffKey{page, id});
-    HLRC_CHECK_MSG(it != diff_store_.end(), "node %d: no diff for page %d interval %u", self(),
-                   page, id);
-    if (!it->second.ready) {
+    StoredDiff* sd = meta_.FindDiff(page, id);
+    HLRC_CHECK_MSG(sd != nullptr, "node %d: no diff for page %d interval %u", self(), page, id);
+    if (!sd->ready) {
       // Diff computation still in progress on the co-processor: queue the
       // request until it completes (paper §2.4.1). The retry runs from the
       // co-processor's completion, so re-establish the requester's causal
       // context explicitly.
-      diff_ready_waiters_[DiffKey{page, id}].push_back(
+      sd->waiters.push_back(
           [this, page, requester, ids, cause = active_span_] {
             SpanCause sc(this, cause);
             TrySendDiffReply(page, requester, ids);
@@ -338,20 +258,16 @@ void LrcProtocol::TrySendDiffReply(PageId page, NodeId requester,
   // Lazy policy: diffs whose creation cost has not been charged yet are
   // computed now, on the serving processor, before the reply goes out.
   SimTime deferred_cost = 0;
-  for (uint32_t id : ids) {
-    StoredDiff& sd = diff_store_.at(DiffKey{page, id});
-    if (!sd.cost_charged) {
-      sd.cost_charged = true;
-      deferred_cost += sd.create_cost;
-    }
-  }
-
   auto payload = std::make_unique<DiffReplyPayload>();
   payload->page = page;
   payload->writer = self();
   int64_t update_bytes = 0;
   for (uint32_t id : ids) {
-    const StoredDiff& sd = diff_store_.at(DiffKey{page, id});
+    StoredDiff& sd = *meta_.FindDiff(page, id);
+    if (!sd.cost_charged) {
+      sd.cost_charged = true;
+      deferred_cost += sd.create_cost;
+    }
     payload->diffs.emplace_back(id, sd.diff);
     update_bytes += sd.bytes;
   }
@@ -382,12 +298,9 @@ void LrcProtocol::ServePageRequest(PageId page, NodeId requester) {
   auto payload = std::make_unique<HomelessPageReplyPayload>();
   payload->page = page;
   payload->data.assign(pages().PageData(page), pages().PageData(page) + pages().page_size());
-  auto cit = covered_.find(page);
-  if (cit != covered_.end()) {
-    for (NodeId w = 0; w < nodes(); ++w) {
-      if (cit->second[static_cast<size_t>(w)] > 0) {
-        payload->covered.emplace_back(w, cit->second[static_cast<size_t>(w)]);
-      }
+  for (NodeId w = 0; w < nodes(); ++w) {
+    if (const uint32_t id = meta_.Covered(page, w); id > 0) {
+      payload->covered.emplace_back(w, id);
     }
   }
   const int64_t covered_bytes = 16 + 8 * static_cast<int64_t>(payload->covered.size());
@@ -416,20 +329,15 @@ void LrcProtocol::HandleProtocolMessage(Message msg) {
             [this, cause, t_arrive, page = p->page, writer = p->writer,
              diffs = std::move(p->diffs)]() mutable {
               SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause, page));
-              auto it = faults_.find(page);
-              HLRC_CHECK(it != faults_.end());
-              FaultCtx& ctx = it->second;
+              LrcFaultCtx* ctx = meta_.at(page).fault.get();
+              HLRC_CHECK(ctx != nullptr);
               for (auto& [id, diff] : diffs) {
-                // Look up the interval vt from the pending write notice.
-                const std::vector<PendingWn>& pend = pending_.at(page);
-                auto wit = std::find_if(pend.begin(), pend.end(), [&](const PendingWn& wn) {
-                  return wn.writer == writer && wn.id == id;
-                });
-                HLRC_CHECK(wit != pend.end());
-                ctx.collected.emplace_back(wit->vt, id, writer, std::move(diff));
+                // The pending write notice names the interval (and its vt).
+                ctx->collected.emplace_back(meta_.PendingNotice(page, writer, id),
+                                            std::move(diff));
               }
-              if (--ctx.replies_needed == 0) {
-                ctx.done->Complete();
+              if (--ctx->replies_needed == 0) {
+                ctx->done->Complete();
               }
             });
       return;
@@ -450,19 +358,19 @@ void LrcProtocol::HandleProtocolMessage(Message msg) {
             [this, cause, t_arrive, page = p->page, data = std::move(p->data),
              covered = std::move(p->covered)]() mutable {
               SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause, page));
-              auto it = faults_.find(page);
-              HLRC_CHECK(it != faults_.end());
-              it->second.page_data = std::move(data);
-              it->second.page_covered = std::move(covered);
-              if (--it->second.replies_needed == 0) {
-                it->second.done->Complete();
+              LrcFaultCtx* ctx = meta_.at(page).fault.get();
+              HLRC_CHECK(ctx != nullptr);
+              ctx->page_data = std::move(data);
+              ctx->page_covered = std::move(covered);
+              if (--ctx->replies_needed == 0) {
+                ctx->done->Complete();
               }
             });
       return;
     }
     case MsgType::kGcRequest: {
       Serve(/*on_coproc=*/false, /*interrupt=*/true,
-            costs().gc_fixed + costs().gc_per_page * static_cast<SimTime>(diff_store_.size()),
+            costs().gc_fixed + costs().gc_per_page * static_cast<SimTime>(meta_.diff_count()),
             BusyCat::kGc, [this, cause, t_arrive] {
               SpanCause sc(this, SpanEmit(SpanKind::kService, t_arrive, cause));
               HandleGcRequest();
@@ -537,9 +445,10 @@ Task<void> LrcProtocol::BarrierPreRelease(BarrierId barrier, bool mem_pressure) 
 
   // Assign validators: the last writer (maximal interval vt) of each page.
   std::vector<std::pair<PageId, NodeId>> validators;
-  validators.reserve(gc_coord_->best.size());
-  for (const auto& [page, best] : gc_coord_->best) {
-    validators.emplace_back(page, best.second);
+  for (size_t page = 0; page < gc_coord_->best.size(); ++page) {
+    if (const IntervalPtr& rec = gc_coord_->best[page]; rec != nullptr) {
+      validators.emplace_back(static_cast<PageId>(page), rec->writer);
+    }
   }
 
   {
@@ -549,10 +458,7 @@ Task<void> LrcProtocol::BarrierPreRelease(BarrierId barrier, bool mem_pressure) 
       if (n == self()) {
         ApplyGcValidate(validators, missing);
       } else {
-        int64_t bytes = 8 + 8 * static_cast<int64_t>(validators.size());
-        for (const IntervalPtr& rec : missing) {
-          bytes += IntervalBytes(*rec);
-        }
+        const int64_t bytes = 8 + 8 * static_cast<int64_t>(validators.size()) + BatchBytes(missing);
         auto payload = std::make_unique<GcValidatePayload>();
         payload->validators = validators;
         payload->intervals = std::move(missing);
@@ -565,21 +471,9 @@ Task<void> LrcProtocol::BarrierPreRelease(BarrierId barrier, bool mem_pressure) 
 }
 
 void LrcProtocol::HandleGcRequest() {
-  // Report, per page we hold diffs for, our latest interval that wrote it.
-  // The inventory index is maintained incrementally at diff creation, so this
-  // is a sort of its keys, not a scan of the whole diff store.
-  std::vector<PageId> inventory;
-  inventory.reserve(latest_diff_id_.size());
-  for (const auto& [page, id] : latest_diff_id_) {
-    inventory.push_back(page);
-  }
-  std::sort(inventory.begin(), inventory.end());
-  std::vector<std::tuple<PageId, uint32_t, VectorClock>> entries;
-  entries.reserve(inventory.size());
-  for (PageId page : inventory) {
-    const uint32_t id = latest_diff_id_.at(page);
-    entries.emplace_back(page, id, diff_store_.at(DiffKey{page, id}).vt);
-  }
+  // Report, per page we hold diffs for, our latest interval that wrote it:
+  // a walk of the pages-with-diffs list, not of the diff store.
+  std::vector<std::pair<PageId, IntervalPtr>> entries = meta_.Inventory();
 
   const NodeId manager = 0;  // Barrier manager runs GC.
   if (self() == manager) {
@@ -595,12 +489,17 @@ void LrcProtocol::HandleGcRequest() {
 }
 
 void LrcProtocol::HandleGcInfo(NodeId node,
-                               std::vector<std::tuple<PageId, uint32_t, VectorClock>> entries) {
+                               std::vector<std::pair<PageId, IntervalPtr>> entries) {
   HLRC_CHECK(gc_coord_ != nullptr);
-  for (auto& [page, id, vt] : entries) {
-    auto it = gc_coord_->best.find(page);
-    if (it == gc_coord_->best.end() || it->second.first.TotalOrderLess(vt)) {
-      gc_coord_->best[page] = {std::move(vt), node};
+  std::vector<IntervalPtr>& best = gc_coord_->best;
+  for (auto& [page, rec] : entries) {
+    HLRC_CHECK(rec->writer == node);  // A node reports only its own diffs.
+    if (static_cast<size_t>(page) >= best.size()) {
+      best.resize(static_cast<size_t>(page) + 1);
+    }
+    IntervalPtr& slot = best[static_cast<size_t>(page)];
+    if (slot == nullptr || slot->vt.TotalOrderLess(rec->vt)) {
+      slot = std::move(rec);
     }
   }
   if (--gc_coord_->infos_pending == 0) {
@@ -610,16 +509,16 @@ void LrcProtocol::HandleGcInfo(NodeId node,
 
 void LrcProtocol::ApplyGcValidate(const std::vector<std::pair<PageId, NodeId>>& validators,
                                   const IntervalBatch& intervals) {
-  HLRC_CHECK(gc_map_.empty());
+  HLRC_CHECK(gc_validators_.empty());
   Trace(TraceEvent::kGcStart, static_cast<int64_t>(validators.size()));
   // Learn every pre-barrier interval now (the barrier release will re-send
   // them and dedup) so validation sees the complete pending sets.
   const SimTime wn_cost = ApplyIntervals(intervals);
   env().cpu->RunService(wn_cost, BusyCat::kWriteNotice, [] {});
+  gc_validators_ = validators;
   std::vector<PageId> mine;
   for (const auto& [page, validator] : validators) {
-    gc_map_[page] = validator;
-    if (validator == self() && HasPending(page)) {
+    if (validator == self() && meta_.HasPending(page)) {
       mine.push_back(page);
     }
   }
@@ -630,7 +529,7 @@ Task<void> LrcProtocol::ValidateForGc(std::vector<PageId> validate_pages) {
   WaitScope ws(this, WaitCat::kGc, WaitCat::kBarrier);
   for (PageId p : validate_pages) {
     co_await ChargeCpu(costs().gc_per_page, BusyCat::kGc);
-    while (HasPending(p)) {
+    while (meta_.HasPending(p)) {
       co_await FetchDiffs(p);
     }
   }
@@ -654,44 +553,29 @@ void LrcProtocol::HandleGcDone() {
 }
 
 void LrcProtocol::OnBarrierReleased() {
-  if (gc_map_.empty()) {
+  if (gc_validators_.empty()) {
     return;
   }
   ++stats_.gc_runs;
-  Trace(TraceEvent::kGcEnd, static_cast<int64_t>(gc_map_.size()));
+  Trace(TraceEvent::kGcEnd, static_cast<int64_t>(gc_validators_.size()));
   const SimTime cost =
-      costs().gc_fixed + costs().gc_per_page * static_cast<SimTime>(gc_map_.size());
+      costs().gc_fixed + costs().gc_per_page * static_cast<SimTime>(gc_validators_.size());
 
-  for (const auto& [page, validator] : gc_map_) {
-    owner_hint_[page] = validator;
-    if (validator != self() && HasPending(page)) {
+  for (const auto& [page, validator] : gc_validators_) {
+    meta_.SetOwnerHint(page, validator);
+    if (validator != self() && meta_.HasPending(page)) {
       // Stale copy whose diffs are about to disappear: drop it; the next
       // access fetches the whole page from the validator.
       PageState& st = pages().State(page);
       st.has_copy = false;
       st.prot = PageProt::kNone;
-      auto it = pending_.find(page);
-      pending_count_ -= static_cast<int64_t>(it->second.size());
-      pending_.erase(it);
-      covered_.erase(page);
+      meta_.DropCopy(page);
     }
   }
-  diff_store_.clear();
-  diff_store_bytes_ = 0;
-  latest_diff_id_.clear();
-  gc_map_.clear();
+  meta_.ClearDiffs();
+  gc_validators_.clear();
   env().cpu->RunService(cost, BusyCat::kGc, [] {});
   NoteMemory();
-}
-
-int64_t LrcProtocol::SubclassMemoryBytes() const {
-  // Pending write notices carry the writer's full vector timestamp in the
-  // homeless protocols (paper §4.7), so each costs 8 + 4N bytes.
-  const int64_t wn_bytes = pending_count_ * (8 + 4 * static_cast<int64_t>(nodes()));
-  const int64_t covered_bytes =
-      static_cast<int64_t>(covered_.size()) * 4 * static_cast<int64_t>(nodes());
-  return diff_store_bytes_ + wn_bytes + covered_bytes +
-         static_cast<int64_t>(owner_hint_.size()) * 8;
 }
 
 }  // namespace hlrc

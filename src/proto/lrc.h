@@ -14,69 +14,32 @@
 #define SRC_PROTO_LRC_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <tuple>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/proto/page_meta.h"
 #include "src/proto/protocol.h"
 
 namespace hlrc {
 
 class LrcProtocol : public ProtocolNode {
  public:
-  explicit LrcProtocol(const Env& env) : ProtocolNode(env) {}
-
-  // Test/bench introspection.
-  int64_t stored_diff_bytes() const { return diff_store_bytes_; }
-  int64_t pending_notice_count() const { return pending_count_; }
+  explicit LrcProtocol(const Env& env) : ProtocolNode(env), meta_(env.nodes) {}
 
  protected:
-  void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) override;
-  bool OnWriteNotice(const IntervalRecord& rec, PageId page) override;
+  void OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
+                        CloseActions* actions) override;
+  bool OnWriteNotice(const IntervalPtr& rec, PageId page) override;
   Task<void> ResolveFault(PageId page, bool write) override;
   void HandleProtocolMessage(Message msg) override;
-  int64_t SubclassMemoryBytes() const override;
+  int64_t SubclassMemoryBytes() const override { return meta_.MemoryBytes(); }
   Task<void> BarrierPreRelease(BarrierId barrier, bool mem_pressure) override;
   void OnBarrierReleased() override;
 
  private:
-  struct StoredDiff {
-    Diff diff;
-    VectorClock vt;  // Writer's vt at the interval that produced the diff.
-    bool ready = true;
-    // Lazy diff policy: the creation cost is deferred to the first request.
-    bool cost_charged = true;
-    SimTime create_cost = 0;
-    int64_t bytes = 0;
-  };
-  using DiffKey = std::pair<PageId, uint32_t>;
-
-  struct PendingWn {
-    NodeId writer;
-    uint32_t id;
-    VectorClock vt;
-  };
-
-  // In-flight fault resolution for one page.
-  struct FaultCtx {
-    int replies_needed = 0;
-    // (vt, interval id, writer, diff) collected from replies.
-    std::vector<std::tuple<VectorClock, uint32_t, NodeId, Diff>> collected;
-    std::vector<std::byte> page_data;
-    std::vector<std::pair<NodeId, uint32_t>> page_covered;
-    std::unique_ptr<Completion> done;
-  };
-
-  bool HasPending(PageId page) const;
   Task<void> FetchDiffs(PageId page);
   Task<void> FetchFullPage(PageId page);
-  void InstallPageData(PageId page, const std::vector<std::byte>& data);
-
-  uint32_t GetCovered(PageId page, NodeId writer) const;
-  void SetCovered(PageId page, NodeId writer, uint32_t id);
-  void PrunePendingCovered(PageId page);
 
   void MarkDiffReady(PageId page, uint32_t id);
   void TrySendDiffReply(PageId page, NodeId requester, const std::vector<uint32_t>& ids);
@@ -84,43 +47,19 @@ class LrcProtocol : public ProtocolNode {
 
   // Garbage collection.
   void HandleGcRequest();
-  void HandleGcInfo(NodeId node,
-                    std::vector<std::tuple<PageId, uint32_t, VectorClock>> entries);
+  void HandleGcInfo(NodeId node, std::vector<std::pair<PageId, IntervalPtr>> entries);
   void ApplyGcValidate(const std::vector<std::pair<PageId, NodeId>>& validators,
                        const IntervalBatch& intervals);
   Task<void> ValidateForGc(std::vector<PageId> pages);
   void HandleGcDone();
 
-  std::map<DiffKey, StoredDiff> diff_store_;
-  int64_t diff_store_bytes_ = 0;
+  // Pending write notices, covered stamps, stored diffs, owner hints and
+  // in-flight faults, one entry per page.
+  LrcPageTable meta_;
 
-  // Flat per-page GC inventory index: page -> highest interval id with a
-  // stored diff. Maintained incrementally at diff creation so HandleGcRequest
-  // reads it off instead of rebuilding a std::map from the whole diff store
-  // every GC round. Cleared with diff_store_. Host-side bookkeeping only: not
-  // part of the simulated memory model (SubclassMemoryBytes).
-  std::unordered_map<PageId, uint32_t> latest_diff_id_;
-
-  // Reusable per-writer buckets for FetchDiffs grouping (replaces a fresh
-  // std::map<NodeId, vector> per fault). writer_scratch_ lists the writers
-  // with a non-empty bucket; both are drained before any suspension point.
-  std::vector<std::vector<uint32_t>> writer_bucket_;
-  std::vector<NodeId> writer_scratch_;
-
-  std::unordered_map<PageId, std::vector<PendingWn>> pending_;
-  int64_t pending_count_ = 0;
-
-  // Per page: highest interval id of each writer reflected in the local copy.
-  std::unordered_map<PageId, std::vector<uint32_t>> covered_;
-
-  // Where to fetch a full page after GC dropped the local copy.
-  std::unordered_map<PageId, NodeId> owner_hint_;
-
-  std::unordered_map<PageId, FaultCtx> faults_;
-  std::map<DiffKey, std::vector<std::function<void()>>> diff_ready_waiters_;
-
-  // GC state (node side): page -> validator assignments of the current GC.
-  std::map<PageId, NodeId> gc_map_;
+  // GC state (node side): the current GC's validator of each page, ascending
+  // by page as the manager sent them.
+  std::vector<std::pair<PageId, NodeId>> gc_validators_;
 
   // TestMutation::kLrcSkipInvalidate fires once per run.
   bool mutation_fired_ = false;
@@ -129,7 +68,7 @@ class LrcProtocol : public ProtocolNode {
   struct GcCoord {
     int infos_pending = 0;
     int dones_pending = 0;
-    std::map<PageId, std::pair<VectorClock, NodeId>> best;  // Last writer per page.
+    std::vector<IntervalPtr> best;  // Last writer's interval, indexed by page.
     std::unique_ptr<Completion> infos_done;
     std::unique_ptr<Completion> dones_done;
   };
@@ -165,7 +104,7 @@ struct GcRequestPayload : Payload {};
 
 struct GcInfoPayload : Payload {
   NodeId node;
-  std::vector<std::tuple<PageId, uint32_t, VectorClock>> entries;
+  std::vector<std::pair<PageId, IntervalPtr>> entries;
 };
 
 struct GcValidatePayload : Payload {

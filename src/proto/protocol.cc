@@ -1,6 +1,7 @@
 #include "src/proto/protocol.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "src/common/log.h"
@@ -178,12 +179,6 @@ int64_t ProtocolNode::ProtocolMemoryBytes() const {
   return known_interval_bytes_ + env_.pages->TwinBytes() + SubclassMemoryBytes();
 }
 
-const IntervalRecord& ProtocolNode::KnownInterval(NodeId writer, uint32_t id) const {
-  const IntervalRecord* rec = interval_log_.Find(writer, id);
-  HLRC_CHECK_MSG(rec != nullptr, "node %d: unknown interval (%d, %u)", env_.self, writer, id);
-  return *rec;
-}
-
 // ---------------------------------------------------------------------------
 // Intervals and write notices.
 
@@ -207,16 +202,16 @@ ProtocolNode::CloseActions ProtocolNode::CloseIntervalPrepared() {
     return actions;
   }
 
-  IntervalRecord rec;
-  rec.writer = env_.self;
-  rec.id = vt_.Get(env_.self) + 1;
-  rec.vt = vt_;
-  rec.vt.Set(env_.self, rec.id);
+  auto rec = std::make_shared<IntervalRecord>();
+  rec->writer = env_.self;
+  rec->id = vt_.Get(env_.self) + 1;
+  rec->vt = vt_;
+  rec->vt.Set(env_.self, rec->id);
   std::sort(open_dirty_.begin(), open_dirty_.end());
-  rec.pages.assign(open_dirty_.begin(), open_dirty_.end());
+  rec->pages.assign(open_dirty_.begin(), open_dirty_.end());
   open_dirty_.clear();
 
-  for (PageId p : rec.pages) {
+  for (PageId p : rec->pages) {
     PageState& st = env_.pages->State(p);
     dirty_flag_[static_cast<size_t>(p)] = false;
     if (st.prot == PageProt::kReadWrite) {
@@ -233,26 +228,25 @@ ProtocolNode::CloseActions ProtocolNode::CloseIntervalPrepared() {
   // capture it (via interval_close_span()) into their deferred send lambdas.
   interval_close_span_ =
       SpanEmit(SpanKind::kIntervalClose, engine()->Now(), active_span_,
-               static_cast<int64_t>(rec.id), static_cast<int64_t>(rec.pages.size()));
+               static_cast<int64_t>(rec->id), static_cast<int64_t>(rec->pages.size()));
 
-  OnIntervalClosed(&rec, &actions);
+  OnIntervalClosed(rec, &actions);
 
-  if (!rec.pages.empty()) {
+  if (!rec->pages.empty()) {
     Cover(CoverageObserver::Domain::kInterval,
-          CoverageBucket(rec.pages.size()), 0);
-    Trace(TraceEvent::kIntervalClose, rec.id, static_cast<int64_t>(rec.pages.size()));
+          CoverageBucket(rec->pages.size()), 0);
+    Trace(TraceEvent::kIntervalClose, rec->id, static_cast<int64_t>(rec->pages.size()));
     HLRC_TRACE("[%lld] node %d: close interval id=%u with %zu pages (first=%d)",
-               (long long)engine()->Now(), env_.self, rec.id, rec.pages.size(), rec.pages[0]);
+               (long long)engine()->Now(), env_.self, rec->id, rec->pages.size(), rec->pages[0]);
     vt_.Bump(env_.self);
-    HLRC_CHECK(vt_.Get(env_.self) == rec.id);
+    HLRC_CHECK(vt_.Get(env_.self) == rec->id);
     ++stats_.intervals_closed;
     // Publish: seal the record and hand it to the log as a shared immutable
     // handle. From here on, every packed payload and every receiver's log
     // alias this one object; nobody may mutate it.
-    rec.Seal();
-    IntervalPtr handle = std::make_shared<IntervalRecord>(std::move(rec));
-    known_interval_bytes_ += IntervalBytes(*handle);
-    interval_log_.Append(std::move(handle));
+    rec->Seal();
+    known_interval_bytes_ += IntervalBytes(*rec);
+    interval_log_.Append(std::move(rec));
     NoteMemory();
   }
   return actions;
@@ -290,7 +284,7 @@ SimTime ProtocolNode::ApplyIntervals(const IntervalBatch& recs) {
     cost += costs().wn_apply * static_cast<SimTime>(rec.pages.size());
     for (PageId p : rec.pages) {
       const PageProt before = env_.pages->State(p).prot;
-      const bool did_invalidate = OnWriteNotice(rec, p);
+      const bool did_invalidate = OnWriteNotice(handle, p);
       if (did_invalidate) {
         ++invalidated;
       }
@@ -310,6 +304,20 @@ SimTime ProtocolNode::ApplyIntervals(const IntervalBatch& recs) {
 
 IntervalBatch ProtocolNode::PackIntervalsFor(const VectorClock& vt) const {
   return interval_log_.PackFor(vt);
+}
+
+void ProtocolNode::InstallPageData(PageId page, const std::vector<std::byte>& data) {
+  HLRC_CHECK(static_cast<int64_t>(data.size()) == pages().page_size());
+  std::byte* dst = pages().PageData(page);
+  if (pages().HasTwin(page)) {
+    Diff local = CreateDiff(page, pages().State(page).twin.get(), dst, pages().page_size(),
+                            env().options->diff_word_bytes);
+    std::memcpy(dst, data.data(), data.size());
+    std::memcpy(pages().State(page).twin.get(), data.data(), data.size());
+    ApplyDiff(local, dst, pages().page_size());
+  } else {
+    std::memcpy(dst, data.data(), data.size());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -534,10 +542,7 @@ void ProtocolNode::GrantLock(LockId lock, NodeId requester, const VectorClock& r
     env_.cpu->RunService(
         pack_cost, BusyCat::kWriteNotice,
         [this, lock, requester, cause, t_dispatch, recs = std::move(recs)]() mutable {
-          int64_t bytes = 16;
-          for (const IntervalPtr& rec : recs) {
-            bytes += IntervalBytes(*rec);
-          }
+          const int64_t bytes = 16 + BatchBytes(recs);
           auto payload = std::make_unique<LockGrantPayload>();
           payload->lock = lock;
           payload->intervals = std::move(recs);
@@ -617,10 +622,7 @@ Task<void> ProtocolNode::Barrier(BarrierId barrier) {
     } else if (env_.self == kBarrierManager) {
       HandleBarrierEnter(barrier, env_.self, vt_, std::move(recs), pressure);
     } else {
-      int64_t bytes = 16 + vt_.EncodedSize();
-      for (const IntervalPtr& rec : recs) {
-        bytes += IntervalBytes(*rec);
-      }
+      const int64_t bytes = 16 + vt_.EncodedSize() + BatchBytes(recs);
       auto payload = std::make_unique<BarrierEnterPayload>();
       payload->barrier = barrier;
       payload->node = env_.self;
@@ -742,10 +744,7 @@ void ProtocolNode::TreeMaybeForwardUp(BarrierId barrier) {
   // so one pack against sent_to_manager_vt_ covers own and child intervals).
   IntervalBatch recs = PackIntervalsFor(sent_to_manager_vt_);
   const SimTime cost = costs().wn_pack * static_cast<SimTime>(recs.size());
-  int64_t bytes = 16 + vt_.EncodedSize();
-  for (const IntervalPtr& rec : recs) {
-    bytes += IntervalBytes(*rec);
-  }
+  int64_t bytes = 16 + vt_.EncodedSize() + BatchBytes(recs);
   for (const BarrierArrival& a : ts.arrivals) {
     bytes += 4 + a.vt.EncodedSize();
   }
@@ -812,19 +811,7 @@ void ProtocolNode::SendBarrierReleases(BarrierId barrier) {
 
   SimTime cost = 0;
   for (const NodeId n : targets) {
-    // Handle copies only: each receiver's release payload aliases the same
-    // underlying records (the copy-free fan-out this PR is about).
-    IntervalBatch recs = PackIntervalsFor(bm.arrival_vt[static_cast<size_t>(n)]);
-    cost += costs().barrier_handling + costs().wn_pack * static_cast<SimTime>(recs.size());
-    int64_t bytes = 16 + vt_.EncodedSize();
-    for (const IntervalPtr& rec : recs) {
-      bytes += IntervalBytes(*rec);
-    }
-    auto payload = std::make_unique<BarrierReleasePayload>();
-    payload->barrier = barrier;
-    payload->intervals = std::move(recs);
-    payload->max_vt = vt_;
-    Send(n, MsgType::kBarrierRelease, 0, bytes, std::move(payload));
+    cost += SendBarrierRelease(barrier, n, bm.arrival_vt[static_cast<size_t>(n)]);
   }
   // The manager releases itself once the send-side work is charged.
   env_.cpu->RunService(cost, BusyCat::kWriteNotice,
@@ -832,6 +819,21 @@ void ProtocolNode::SendBarrierReleases(BarrierId barrier) {
                          SpanCause sc2(this, cause);
                          HandleBarrierRelease(barrier, {}, vt_);
                        });
+}
+
+SimTime ProtocolNode::SendBarrierRelease(BarrierId barrier, NodeId to,
+                                         const VectorClock& seen) {
+  // Handle copies only: each receiver's release payload aliases the same
+  // underlying records.
+  auto payload = std::make_unique<BarrierReleasePayload>();
+  payload->barrier = barrier;
+  payload->intervals = PackIntervalsFor(seen);
+  payload->max_vt = vt_;
+  const SimTime cost = costs().barrier_handling +
+                       costs().wn_pack * static_cast<SimTime>(payload->intervals.size());
+  const int64_t bytes = 16 + vt_.EncodedSize() + BatchBytes(payload->intervals);
+  Send(to, MsgType::kBarrierRelease, 0, bytes, std::move(payload));
+  return cost;
 }
 
 void ProtocolNode::HandleBarrierRelease(BarrierId barrier, IntervalBatch intervals,
@@ -859,17 +861,7 @@ void ProtocolNode::HandleBarrierRelease(BarrierId barrier, IntervalBatch interva
         }
       }
       HLRC_CHECK(cvt != nullptr);
-      IntervalBatch recs = PackIntervalsFor(*cvt);
-      cost += costs().barrier_handling + costs().wn_pack * static_cast<SimTime>(recs.size());
-      int64_t bytes = 16 + vt_.EncodedSize();
-      for (const IntervalPtr& rec : recs) {
-        bytes += IntervalBytes(*rec);
-      }
-      auto payload = std::make_unique<BarrierReleasePayload>();
-      payload->barrier = barrier;
-      payload->intervals = std::move(recs);
-      payload->max_vt = vt_;
-      Send(c, MsgType::kBarrierRelease, 0, bytes, std::move(payload));
+      cost += SendBarrierRelease(barrier, c, *cvt);
     }
   }
   const SpanId cause = active_span_;

@@ -171,23 +171,26 @@ class ProtocolNode {
   // ---- Subclass interface --------------------------------------------------
 
   // Called when an interval with dirty pages closes, before the record is
-  // published. Computes diffs (data-wise, instantly) and may remove pages
-  // whose diff turned out empty (a write that did not change the page needs
-  // no write notice). Returns compute-processor costs to charge; `post` runs
-  // after the costs have been charged (it sends diff flushes for the
-  // non-overlapped home-based protocol, or schedules co-processor diffing for
-  // the overlapped ones).
+  // sealed and published. Computes diffs (data-wise, instantly) and may
+  // remove pages whose diff turned out empty (a write that did not change the
+  // page needs no write notice). A subclass may keep the handle: it is the
+  // one the log publishes, once `rec->pages` is non-empty. Returns
+  // compute-processor costs to charge; `post` runs after the costs have been
+  // charged (it sends diff flushes for the non-overlapped home-based
+  // protocol, or schedules co-processor diffing for the overlapped ones).
   struct CloseActions {
     SimTime protect_cost = 0;  // Reprotection of dirty pages.
     SimTime diff_cost = 0;     // Diff creation on the compute processor.
     std::function<void()> post;
     SimTime TotalCpu() const { return protect_cost + diff_cost; }
   };
-  virtual void OnIntervalClosed(IntervalRecord* rec, CloseActions* actions) = 0;
+  virtual void OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
+                                CloseActions* actions) = 0;
 
-  // Invalidation bookkeeping for one write notice. Returns true if the page
-  // mapping was actually invalidated (for cost accounting).
-  virtual bool OnWriteNotice(const IntervalRecord& rec, PageId page) = 0;
+  // Invalidation bookkeeping for one write notice of the sealed record `rec`.
+  // Returns true if the page mapping was actually invalidated (for cost
+  // accounting).
+  virtual bool OnWriteNotice(const IntervalPtr& rec, PageId page) = 0;
 
   // Brings `page` up to date after a fault. The page-fault entry cost has
   // already been charged. Runs on the faulting node's app coroutine.
@@ -302,6 +305,17 @@ class ProtocolNode {
   int64_t IntervalBytes(const IntervalRecord& rec) const {
     return rec.EncodedSize(ShipVt());
   }
+  int64_t BatchBytes(const IntervalBatch& recs) const {
+    int64_t bytes = 0;
+    for (const IntervalPtr& rec : recs) {
+      bytes += IntervalBytes(*rec);
+    }
+    return bytes;
+  }
+
+  // Installs a fetched copy of `page`. Local writes of the open interval
+  // (multiple-writer pages) are reapplied on top and the twin is rebased.
+  void InstallPageData(PageId page, const std::vector<std::byte>& data);
 
   const Env& env() const { return env_; }
   Engine* engine() const { return env_.engine; }
@@ -418,9 +432,6 @@ class ProtocolNode {
   IntervalLog interval_log_;
   int64_t known_interval_bytes_ = 0;
 
-  // Looks up a known interval record; aborts if missing.
-  const IntervalRecord& KnownInterval(NodeId writer, uint32_t id) const;
-
  private:
   // ---- Lock algorithm ------------------------------------------------------
 
@@ -499,6 +510,9 @@ class ProtocolNode {
                           IntervalBatch intervals, bool mem_pressure);
   void BarrierAllArrived(BarrierId barrier);
   void SendBarrierReleases(BarrierId barrier);
+  // Sends `to` the release carrying every interval `seen` lacks; returns the
+  // packing cost.
+  SimTime SendBarrierRelease(BarrierId barrier, NodeId to, const VectorClock& seen);
   void HandleBarrierRelease(BarrierId barrier, IntervalBatch intervals,
                             const VectorClock& max_vt);
 

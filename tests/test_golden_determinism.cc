@@ -12,6 +12,11 @@
 // which rewrites the golden in the source tree; review the diff like code.
 // Only integer virtual-time and counter fields are pinned (no floating
 // point), so the file is platform-independent.
+//
+// A second golden, tests/golden/summary_64nodes.txt, pins tiny-scale runs at
+// 64 nodes with the per-page protocol paths the 8-node rows never reach:
+// homeless GC forced at some barriers while write notices survive the
+// others, home migration with parked page requests, and AURC.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -33,7 +38,8 @@ namespace {
 
 constexpr int kNodes = 8;
 
-std::string FormatSummary(const std::string& app_name, ProtocolKind kind, const RunReport& report);
+std::string FormatSummary(const std::string& app_name, ProtocolKind kind, const RunReport& report,
+                          int nodes = kNodes);
 
 std::string SummaryLine(const std::string& app_name, ProtocolKind kind) {
   std::unique_ptr<App> app = MakeApp(app_name, AppScale::kTiny);
@@ -81,10 +87,10 @@ std::string SummaryLineWithSpans(const std::string& app_name, ProtocolKind kind)
 }
 
 std::string FormatSummary(const std::string& app_name, ProtocolKind kind,
-                          const RunReport& report) {
+                          const RunReport& report, int nodes) {
   const NodeReport t = report.Totals();
   std::ostringstream os;
-  os << app_name << " " << ProtocolName(kind) << " nodes=" << kNodes
+  os << app_name << " " << ProtocolName(kind) << " nodes=" << nodes
      << " time=" << report.total_time << " msgs=" << t.traffic.msgs_sent
      << " update_bytes=" << t.traffic.update_bytes_sent
      << " proto_bytes=" << t.traffic.protocol_bytes_sent
@@ -110,6 +116,72 @@ std::string BuildSummary() {
 }
 
 std::string GoldenPath() { return std::string(HLRC_GOLDEN_DIR) + "/summary_8nodes.txt"; }
+
+// One 64-node tiny-scale row. `label` names the non-default options.
+std::string Summary64Line(const std::string& app_name, ProtocolKind kind, const char* label,
+                          const ProtocolOptions& opts) {
+  constexpr int kNodes64 = 64;
+  std::unique_ptr<App> app = MakeApp(app_name, AppScale::kTiny);
+  SimConfig cfg;
+  cfg.nodes = kNodes64;
+  cfg.protocol = opts;
+  cfg.protocol.kind = kind;
+  const AppRunResult r = RunApp(*app, cfg);
+  EXPECT_TRUE(r.verified) << app_name << " under " << ProtocolName(kind) << " " << label << ": "
+                          << r.why;
+  return FormatSummary(app_name, kind, r.report, kNodes64) + " gc_runs=" +
+         std::to_string(r.report.Totals().proto.gc_runs) + " [" + label + "]";
+}
+
+std::string Build64Summary() {
+  // Homeless GC at a low threshold: it runs at some barriers and not at the
+  // others, so pending write notices and stored diffs outlive interval-log
+  // truncation before a later GC collects them.
+  ProtocolOptions gc;
+  gc.gc_threshold_bytes = 30000;
+  ProtocolOptions lazy_gc = gc;
+  lazy_gc.diff_policy = DiffPolicy::kLazy;
+  ProtocolOptions lu_gc;
+  lu_gc.gc_threshold_bytes = 60000;
+  // Home migration: water-nsq migrates under block homes; round-robin homes
+  // with a short streak make SOR migrate and park requests across moves.
+  ProtocolOptions migrate;
+  migrate.migrate_homes = true;
+  ProtocolOptions migrate_rr = migrate;
+  migrate_rr.home_policy = HomePolicy::kRoundRobin;
+  migrate_rr.migrate_threshold = 2;
+  std::ostringstream os;
+  os << Summary64Line("sor", ProtocolKind::kLrc, "gc=30000", gc) << "\n";
+  os << Summary64Line("sor", ProtocolKind::kOlrc, "gc=30000", gc) << "\n";
+  os << Summary64Line("sor", ProtocolKind::kLrc, "gc=30000 lazy", lazy_gc) << "\n";
+  os << Summary64Line("lu", ProtocolKind::kLrc, "gc=60000", lu_gc) << "\n";
+  os << Summary64Line("water-nsq", ProtocolKind::kHlrc, "migrate", migrate) << "\n";
+  os << Summary64Line("sor", ProtocolKind::kOhlrc, "migrate rr t=2", migrate_rr) << "\n";
+  os << Summary64Line("sor", ProtocolKind::kHlrc, "migrate rr t=2", migrate_rr) << "\n";
+  os << Summary64Line("lu", ProtocolKind::kAurc, "default", ProtocolOptions{}) << "\n";
+  os << Summary64Line("water-nsq", ProtocolKind::kAurc, "migrate", migrate) << "\n";
+  return os.str();
+}
+
+// Compares `actual` with the checked-in golden `path`, or rewrites it under
+// HLRC_REGEN_GOLDEN.
+void CheckGolden(const std::string& path, const std::string& actual) {
+  if (std::getenv("HLRC_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path
+                         << " — run with HLRC_REGEN_GOLDEN=1 to create it";
+  std::stringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(expected.str(), actual)
+      << "summary drifted from " << path
+      << "; if the behavior change is intentional, regenerate with "
+         "HLRC_REGEN_GOLDEN=1 and review the diff";
+}
 
 TEST(GoldenDeterminism, RepeatedRunsAreBitIdentical) {
   EXPECT_EQ(SummaryLine("sor", ProtocolKind::kHlrc), SummaryLine("sor", ProtocolKind::kHlrc));
@@ -278,22 +350,11 @@ TEST(GoldenDeterminism, CoalescedRunsAreBitIdenticalAndLogicallyEquivalent) {
 }
 
 TEST(GoldenDeterminism, SummaryMatchesCheckedInGolden) {
-  const std::string actual = BuildSummary();
-  if (std::getenv("HLRC_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(GoldenPath());
-    ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
-    out << actual;
-    GTEST_SKIP() << "regenerated " << GoldenPath();
-  }
-  std::ifstream in(GoldenPath());
-  ASSERT_TRUE(in.good()) << "missing golden file " << GoldenPath()
-                         << " — run with HLRC_REGEN_GOLDEN=1 to create it";
-  std::stringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(expected.str(), actual)
-      << "summary drifted from " << GoldenPath()
-      << "; if the behavior change is intentional, regenerate with "
-         "HLRC_REGEN_GOLDEN=1 and review the diff";
+  CheckGolden(GoldenPath(), BuildSummary());
+}
+
+TEST(GoldenDeterminism, Summary64MatchesCheckedInGolden) {
+  CheckGolden(std::string(HLRC_GOLDEN_DIR) + "/summary_64nodes.txt", Build64Summary());
 }
 
 }  // namespace

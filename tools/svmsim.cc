@@ -56,6 +56,7 @@
 //   --coalesce            coalesced wire plane (frame packing, ack
 //                         piggybacking, request combining)
 //   --barrier-arity=N     combining barrier tree of arity N (0 = flat)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -483,7 +484,12 @@ int Main(int argc, char** argv) {
   summary.AddRow({"Lock acquires (avg/node)", Table::Fmt(avg.proto.lock_acquires)});
   summary.AddRow({"Barriers (avg/node)", Table::Fmt(avg.proto.barriers)});
   summary.AddRow({"GC runs", Table::Fmt(totals.proto.gc_runs)});
-  summary.AddRow({"Protocol memory (max/node)", Table::FmtBytes(avg.proto_mem_highwater)});
+  int64_t max_proto_mem = 0;
+  for (const NodeReport& n : report.nodes) {
+    max_proto_mem = std::max(max_proto_mem, n.proto_mem_highwater);
+  }
+  summary.AddRow({"Protocol memory (avg/node)", Table::FmtBytes(avg.proto_mem_highwater)});
+  summary.AddRow({"Protocol memory (max/node)", Table::FmtBytes(max_proto_mem)});
   summary.AddRow({"App memory", Table::FmtBytes(report.app_memory_bytes)});
   summary.Print();
 
