@@ -1,6 +1,8 @@
 #include "src/common/cli.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <system_error>
 
 namespace hlrc {
 
@@ -31,6 +33,16 @@ void UsageError(const ToolInfo& tool, const std::string& message) {
   std::fprintf(stderr, "%s: %s\n", tool.name, message.c_str());
   PrintUsage(tool, stderr);
   std::exit(2);
+}
+
+int64_t ParseIntFlag(const ToolInfo& tool, const std::string& flag, const std::string& value) {
+  int64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    UsageError(tool, flag + " expects a 64-bit integer, got '" + value + "'");
+  }
+  return v;
 }
 
 }  // namespace hlrc

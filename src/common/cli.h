@@ -9,6 +9,7 @@
 #ifndef SRC_COMMON_CLI_H_
 #define SRC_COMMON_CLI_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -36,6 +37,11 @@ bool HandleCommonFlag(const ToolInfo& tool, const std::string& arg);
 
 // Prints `NAME: MESSAGE` and the usage text to stderr, then exits 2.
 [[noreturn]] void UsageError(const ToolInfo& tool, const std::string& message);
+
+// Parses `value` (the text after `flag=`) as a whole base-10 int64 with an
+// optional '-'. Anything else — empty, trailing characters, a value past int64
+// — is a UsageError naming the flag.
+int64_t ParseIntFlag(const ToolInfo& tool, const std::string& flag, const std::string& value);
 
 }  // namespace hlrc
 

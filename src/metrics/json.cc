@@ -1,6 +1,6 @@
 #include "src/metrics/json.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -385,19 +385,13 @@ class Parser {
         ++pos_;
       }
     }
-    const std::string tok = text_.substr(start, pos_ - start);
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
     out->type = JsonValue::Type::kNumber;
-    errno = 0;
-    out->num = std::strtod(tok.c_str(), nullptr);
-    if (integral) {
-      errno = 0;
-      char* end = nullptr;
-      const long long v = std::strtoll(tok.c_str(), &end, 10);
-      if (errno == 0 && end != nullptr && *end == '\0') {
-        out->is_int = true;
-        out->num_i = static_cast<int64_t>(v);
-      }
+    if (std::from_chars(first, last, out->num).ec != std::errc()) {
+      out->num = std::strtod(std::string(first, last).c_str(), nullptr);  // ±HUGE_VAL, 0
     }
+    out->is_int = integral && std::from_chars(first, last, out->num_i).ec == std::errc();
     return true;
   }
 

@@ -1,10 +1,41 @@
 #include "src/metrics/json_writer.h"
 
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 namespace hlrc {
+namespace {
+
+// Appends `s` to `out` with JSON string escaping; runs that need none are
+// copied in one append.
+void AppendEscaped(std::string& out, std::string_view s) {
+  // JSON's two-character escapes; any other control byte becomes \u00XX.
+  static constexpr std::string_view kShort = "\"\\\b\f\n\r\t";
+  static constexpr std::string_view kShortAs = "\"\\bfnrt";
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    out += '\\';
+    const size_t k = kShort.find(static_cast<char>(c));
+    if (k != std::string_view::npos) {
+      out += kShortAs[k];
+    } else {
+      out += "u00";
+      out += kHex[c >> 4];
+      out += kHex[c & 0xf];
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
+}  // namespace
 
 void JsonWriter::BeforeValue() {
   if (have_key_) {
@@ -42,32 +73,25 @@ void JsonWriter::EndArray() {
   first_.pop_back();
 }
 
-void JsonWriter::Key(const std::string& k) {
-  if (!first_.empty()) {
-    if (first_.back()) {
-      first_.back() = false;
-    } else {
-      out_ += ',';
-    }
-  }
+void JsonWriter::Key(std::string_view k) {
+  BeforeValue();  // the comma goes before the key, not the value
   out_ += '"';
-  out_ += Escape(k);
+  AppendEscaped(out_, k);
   out_ += "\":";
   have_key_ = true;
 }
 
-void JsonWriter::String(const std::string& v) {
+void JsonWriter::String(std::string_view v) {
   BeforeValue();
   out_ += '"';
-  out_ += Escape(v);
+  AppendEscaped(out_, v);
   out_ += '"';
 }
 
 void JsonWriter::Int(int64_t v) {
   BeforeValue();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out_ += buf;
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 void JsonWriter::Double(double v) {
@@ -76,9 +100,15 @@ void JsonWriter::Double(double v) {
     out_ += "null";  // JSON has no NaN/Inf.
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out_ += buf;
+  char buf[32];
+  // %.17g prints an integral value below 1e17 as its integer digits (except
+  // -0), and sampled counters are all integral: the integer conversion is
+  // several times cheaper than the precision-17 one.
+  if (std::fabs(v) < 1e17 && v == std::trunc(v) && (v != 0 || !std::signbit(v))) {
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), static_cast<int64_t>(v)).ptr);
+    return;
+  }
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17).ptr);
 }
 
 void JsonWriter::Bool(bool v) {
@@ -110,42 +140,10 @@ bool JsonWriter::WriteFile(const std::string& path, std::string* err) const {
   return true;
 }
 
-std::string JsonWriter::Escape(const std::string& s) {
+std::string JsonWriter::Escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
+  AppendEscaped(out, s);
   return out;
 }
 

@@ -1,6 +1,6 @@
 #include "src/svm/run_summary.h"
 
-#include <cstdio>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/metrics/json_writer.h"
@@ -218,15 +218,12 @@ void WriteHotPages(JsonWriter& w, const PageHeatProfiler& heat) {
   w.EndArray();
 }
 
-}  // namespace
-
-std::string RunSummaryJson(const System& sys, const RunSummaryMeta& meta) {
+void WriteRunSummary(JsonWriter& w, const System& sys, const RunSummaryMeta& meta) {
   const Metrics* metrics = sys.metrics();
   HLRC_CHECK_MSG(metrics != nullptr,
                  "RunSummaryJson requires System::EnableMetrics before the run");
   const RunReport& report = sys.report();
 
-  JsonWriter w;
   w.BeginObject();
   w.KV("schema", kRunSummarySchemaName);
   w.KV("version", kRunSummarySchemaVersion);
@@ -265,28 +262,21 @@ std::string RunSummaryJson(const System& sys, const RunSummaryMeta& meta) {
     WriteSpansJson(&w, *sys.spans());
   }
   w.EndObject();
-  return w.str();
+}
+
+}  // namespace
+
+std::string RunSummaryJson(const System& sys, const RunSummaryMeta& meta) {
+  JsonWriter w;
+  WriteRunSummary(w, sys, meta);
+  return std::move(w).str();
 }
 
 bool WriteRunSummaryJson(const std::string& path, const System& sys,
                          const RunSummaryMeta& meta, std::string* err) {
-  const std::string json = RunSummaryJson(sys, meta);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (err != nullptr) {
-      *err = "cannot open " + path + " for writing";
-    }
-    return false;
-  }
-  const size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  const bool nl = std::fputc('\n', f) != EOF;
-  if (std::fclose(f) != 0 || n != json.size() || !nl) {
-    if (err != nullptr) {
-      *err = "short write to " + path;
-    }
-    return false;
-  }
-  return true;
+  JsonWriter w;
+  WriteRunSummary(w, sys, meta);
+  return w.WriteFile(path, err);
 }
 
 }  // namespace hlrc

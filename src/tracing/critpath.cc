@@ -1,33 +1,19 @@
 #include "src/tracing/critpath.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
+#include <iterator>
+#include <tuple>
+
+#include "src/tracing/span_check.h"
 
 namespace hlrc {
 
 const char* CritCatName(CritCat c) {
-  switch (c) {
-    case CritCat::kWire:
-      return "wire";
-    case CritCat::kQueueing:
-      return "queueing";
-    case CritCat::kRetransmit:
-      return "retransmit";
-    case CritCat::kHomeService:
-      return "home service";
-    case CritCat::kDiffCreate:
-      return "diff create";
-    case CritCat::kDiffApply:
-      return "diff apply";
-    case CritCat::kBookkeeping:
-      return "protocol bookkeeping";
-    case CritCat::kCompute:
-      return "compute";
-    case CritCat::kCount:
-      break;
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "wire", "queueing", "retransmit", "home service", "diff create", "diff apply",
+      "protocol bookkeeping", "compute"};
+  static_assert(std::size(kNames) == kCritCatCount);
+  return c < CritCat::kCount ? kNames[static_cast<size_t>(c)] : "?";
 }
 
 CritCat CategoryOf(SpanKind k) {
@@ -55,38 +41,26 @@ CritCat CategoryOf(SpanKind k) {
 }
 
 int RootKindIndex(SpanKind k) {
-  switch (k) {
-    case SpanKind::kFault:
-      return 0;
-    case SpanKind::kLock:
-      return 1;
-    case SpanKind::kBarrier:
-      return 2;
-    default:
-      return -1;
-  }
+  static_assert(static_cast<int>(SpanKind::kFault) == 0 &&
+                static_cast<int>(SpanKind::kLock) == 1 && static_cast<int>(SpanKind::kBarrier) == 2);
+  return k <= SpanKind::kBarrier ? static_cast<int>(k) : -1;
 }
 
 CritPathSummary AttributeCriticalPaths(const std::vector<Span>& spans) {
   CritPathSummary out;
+  SpanGraph g;
+  BuildSpanGraph(spans, &g, nullptr);
 
-  std::unordered_map<SpanId, size_t> index;
-  index.reserve(spans.size());
-  for (size_t i = 0; i < spans.size(); ++i) {
-    index.emplace(spans[i].id, i);
-  }
-  std::vector<std::vector<size_t>> adj(spans.size());
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const Span& s = spans[i];
-    if (s.parent != kNoSpan) {
-      adj[index.at(s.parent)].push_back(i);
-    }
-    for (const SpanId l : s.links) {
-      adj[index.at(l)].push_back(i);
-    }
-  }
-
+  // Per-root scratch reused across roots. `fifo` holds every span a root's
+  // search visited, so resetting exactly those depths keeps each root's cost
+  // to its own descendants.
   std::vector<int> depth(spans.size(), -1);
+  std::vector<uint32_t> fifo;
+  std::vector<SimTime> cuts;
+  std::vector<const CritStep*> active;
+  auto shallower = [](const CritStep* a, const CritStep* b) {
+    return std::tie(a->depth, a->t0, a->id) < std::tie(b->depth, b->t0, b->id);
+  };
   for (size_t r = 0; r < spans.size(); ++r) {
     const Span& root = spans[r];
     if (RootKindIndex(root.kind) < 0) {
@@ -104,18 +78,16 @@ CritPathSummary AttributeCriticalPaths(const std::vector<Span>& spans) {
     // BFS over causal descendants, clipping each to the root's window. Depth
     // is the first-visit hop count: deeper spans refine their ancestors'
     // attribution (a wire span inside a fault beats the fault itself).
-    std::fill(depth.begin(), depth.end(), -1);
     depth[r] = 0;
-    std::deque<size_t> q{r};
-    while (!q.empty()) {
-      const size_t n = q.front();
-      q.pop_front();
-      for (const size_t c : adj[n]) {
+    fifo.assign(1, static_cast<uint32_t>(r));
+    for (size_t head = 0; head < fifo.size(); ++head) {
+      const uint32_t n = fifo[head];
+      for (const uint32_t c : g.Successors(n)) {
         if (depth[c] >= 0 || RootKindIndex(spans[c].kind) >= 0) {
           continue;  // other roots (and their subtrees) attribute themselves
         }
         depth[c] = depth[n] + 1;
-        q.push_back(c);
+        fifo.push_back(c);
         const Span& s = spans[c];
         CritStep step;
         step.id = s.id;
@@ -129,6 +101,9 @@ CritPathSummary AttributeCriticalPaths(const std::vector<Span>& spans) {
         }
       }
     }
+    for (const uint32_t n : fifo) {
+      depth[n] = -1;
+    }
     std::sort(ra.steps.begin(), ra.steps.end(),
               [](const CritStep& a, const CritStep& b) {
                 if (a.t0 != b.t0) return a.t0 < b.t0;
@@ -139,9 +114,10 @@ CritPathSummary AttributeCriticalPaths(const std::vector<Span>& spans) {
     // Segment sweep: between consecutive boundaries the deepest active
     // descendant's category wins (ties: later start, then larger id); gaps
     // with no active descendant are protocol bookkeeping. Segments partition
-    // [t0, t1], so categories sum exactly to the root's duration.
-    std::vector<SimTime> cuts;
-    cuts.reserve(2 * ra.steps.size() + 2);
+    // [t0, t1], so categories sum exactly to the root's duration. Steps join
+    // a max-heap on (depth, t0, id) when the sweep reaches their start and
+    // leave it lazily once they end, so a root costs O(k log k) in its steps.
+    cuts.clear();
     cuts.push_back(root.t0);
     cuts.push_back(root.t1);
     for (const CritStep& s : ra.steps) {
@@ -150,25 +126,21 @@ CritPathSummary AttributeCriticalPaths(const std::vector<Span>& spans) {
     }
     std::sort(cuts.begin(), cuts.end());
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    active.clear();
+    size_t next = 0;
     for (size_t i = 0; i + 1 < cuts.size(); ++i) {
       const SimTime lo = cuts[i];
       const SimTime hi = cuts[i + 1];
-      const CritStep* best = nullptr;
-      for (const CritStep& s : ra.steps) {
-        if (s.t0 > lo) {
-          break;  // steps are t0-sorted; none further can cover lo
-        }
-        if (s.t1 < hi) {
-          continue;
-        }
-        if (best == nullptr || s.depth > best->depth ||
-            (s.depth == best->depth &&
-             (s.t0 > best->t0 || (s.t0 == best->t0 && s.id > best->id)))) {
-          best = &s;
-        }
+      for (; next < ra.steps.size() && ra.steps[next].t0 <= lo; ++next) {
+        active.push_back(&ra.steps[next]);
+        std::push_heap(active.begin(), active.end(), shallower);
+      }
+      while (!active.empty() && active.front()->t1 < hi) {
+        std::pop_heap(active.begin(), active.end(), shallower);
+        active.pop_back();
       }
       const CritCat cat =
-          best != nullptr ? CategoryOf(best->kind) : CritCat::kBookkeeping;
+          active.empty() ? CritCat::kBookkeeping : CategoryOf(active.front()->kind);
       ra.by_cat[static_cast<size_t>(cat)] += hi - lo;
     }
 

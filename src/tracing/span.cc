@@ -1,6 +1,7 @@
 #include "src/tracing/span.h"
 
 #include <cstdio>
+#include <iterator>
 
 #include "src/common/check.h"
 #include "src/metrics/json.h"
@@ -9,41 +10,12 @@
 namespace hlrc {
 
 const char* SpanKindName(SpanKind k) {
-  switch (k) {
-    case SpanKind::kFault:
-      return "fault";
-    case SpanKind::kLock:
-      return "lock";
-    case SpanKind::kBarrier:
-      return "barrier";
-    case SpanKind::kIntervalClose:
-      return "interval-close";
-    case SpanKind::kQueue:
-      return "queue";
-    case SpanKind::kWire:
-      return "wire";
-    case SpanKind::kRetransmit:
-      return "retransmit";
-    case SpanKind::kService:
-      return "service";
-    case SpanKind::kHomeWait:
-      return "home-wait";
-    case SpanKind::kDiffCreate:
-      return "diff-create";
-    case SpanKind::kDiffApply:
-      return "diff-apply";
-    case SpanKind::kWnApply:
-      return "wn-apply";
-    case SpanKind::kLockHold:
-      return "lock-hold";
-    case SpanKind::kBarrierGather:
-      return "barrier-gather";
-    case SpanKind::kCoalesceHold:
-      return "coalesce-hold";
-    case SpanKind::kCount:
-      break;
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "fault", "lock", "barrier", "interval-close", "queue", "wire", "retransmit", "service",
+      "home-wait", "diff-create", "diff-apply", "wn-apply", "lock-hold", "barrier-gather",
+      "coalesce-hold"};
+  static_assert(std::size(kNames) == static_cast<size_t>(SpanKind::kCount));
+  return k < SpanKind::kCount ? kNames[static_cast<size_t>(k)] : "?";
 }
 
 SpanKind SpanKindFromName(const std::string& name) {
@@ -226,28 +198,27 @@ bool ParseSpans(const JsonValue& summary_root, std::vector<Span>* out,
   out->reserve(arr->arr.size());
   for (size_t i = 0; i < arr->arr.size(); ++i) {
     const JsonValue& e = arr->arr[i];
-    const std::string at = "spans[" + std::to_string(i) + "]: ";
-    if (!e.IsObject()) {
-      *err = at + "not an object";
+    auto bad = [&](const std::string& what) {
+      *err = "spans[" + std::to_string(i) + "]: " + what;
       return false;
+    };
+    if (!e.IsObject()) {
+      return bad("not an object");
     }
     Span s;
     const JsonValue* id = e.Find("id");
     if (id == nullptr || !id->is_int) {
-      *err = at + "missing integer \"id\"";
-      return false;
+      return bad("missing integer \"id\"");
     }
     s.id = id->num_i;
     s.kind = SpanKindFromName(e.GetString("kind"));
     if (s.kind == SpanKind::kCount) {
-      *err = at + "unknown kind \"" + e.GetString("kind") + "\"";
-      return false;
+      return bad("unknown kind \"" + e.GetString("kind") + "\"");
     }
     const JsonValue* t0 = e.Find("t0");
     const JsonValue* t1 = e.Find("t1");
     if (t0 == nullptr || !t0->is_int || t1 == nullptr || !t1->is_int) {
-      *err = at + "missing integer \"t0\"/\"t1\"";
-      return false;
+      return bad("missing integer \"t0\"/\"t1\"");
     }
     s.t0 = t0->num_i;
     s.t1 = t1->num_i;
@@ -257,26 +228,22 @@ bool ParseSpans(const JsonValue& summary_root, std::vector<Span>* out,
     s.a1 = e.GetInt("a1", 0);
     if (const JsonValue* links = e.Find("links")) {
       if (!links->IsArray()) {
-        *err = at + "\"links\" is not an array";
-        return false;
+        return bad("\"links\" is not an array");
       }
       for (const JsonValue& l : links->arr) {
         if (!l.is_int) {
-          *err = at + "non-integer link";
-          return false;
+          return bad("non-integer link");
         }
         s.links.push_back(l.num_i);
       }
     }
     if (const JsonValue* vt = e.Find("vt")) {
       if (!vt->IsArray()) {
-        *err = at + "\"vt\" is not an array";
-        return false;
+        return bad("\"vt\" is not an array");
       }
       for (const JsonValue& c : vt->arr) {
         if (!c.is_int || c.num_i < 0) {
-          *err = at + "bad vector-clock entry";
-          return false;
+          return bad("bad vector-clock entry");
         }
         s.vt.push_back(static_cast<uint32_t>(c.num_i));
       }

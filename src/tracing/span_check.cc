@@ -1,9 +1,15 @@
 #include "src/tracing/span_check.h"
 
+#include <numeric>
 #include <unordered_map>
+#include <utility>
+
+#include "src/common/check.h"
 
 namespace hlrc {
 namespace {
+
+constexpr uint32_t kNone = UINT32_MAX;
 
 std::string Describe(const Span& s) {
   return std::string(SpanKindName(s.kind)) + " span " + std::to_string(s.id) +
@@ -12,72 +18,100 @@ std::string Describe(const Span& s) {
 
 }  // namespace
 
-bool CheckSpanDag(const std::vector<Span>& spans, std::string* err) {
-  std::unordered_map<SpanId, size_t> index;
-  index.reserve(spans.size());
-  for (size_t i = 0; i < spans.size(); ++i) {
+bool BuildSpanGraph(const std::vector<Span>& spans, SpanGraph* g, std::string* err) {
+  HLRC_CHECK(spans.size() < kNone);
+  auto fail = [err](std::string msg) {
+    HLRC_CHECK_MSG(err != nullptr, "invalid span set: %s", msg.c_str());
+    *err = std::move(msg);
+    return false;
+  };
+  // Id -> position: the identity for a tracer's spans (ids are positions),
+  // a hash map for any other set, where the earliest span wins a repeated id.
+  bool dense = true;
+  for (size_t i = 0; i < spans.size() && dense; ++i) {
+    dense = spans[i].id == static_cast<SpanId>(i);
+  }
+  std::unordered_map<SpanId, uint32_t> by_id;
+  for (size_t i = 0; !dense && i < spans.size(); ++i) {
+    by_id.emplace(spans[i].id, static_cast<uint32_t>(i));
+  }
+  auto find = [&](SpanId id) -> uint32_t {
+    if (dense) {
+      return id >= 0 && static_cast<size_t>(id) < spans.size() ? static_cast<uint32_t>(id) : kNone;
+    }
+    const auto it = by_id.find(id);
+    return it != by_id.end() ? it->second : kNone;
+  };
+  for (size_t i = 0; err != nullptr && i < spans.size(); ++i) {
     const Span& s = spans[i];
     if (s.id < 0) {
-      *err = "negative span id " + std::to_string(s.id);
-      return false;
+      return fail("negative span id " + std::to_string(s.id));
     }
-    if (!index.emplace(s.id, i).second) {
-      *err = "duplicate span id " + std::to_string(s.id);
-      return false;
+    if (find(s.id) != i) {
+      return fail("duplicate span id " + std::to_string(s.id));
     }
     if (s.t0 > s.t1) {
-      *err = Describe(s) + " has t0 > t1";
-      return false;
+      return fail(Describe(s) + " has t0 > t1");
     }
     if (s.kind == SpanKind::kCount) {
-      *err = "span " + std::to_string(s.id) + " has invalid kind";
-      return false;
+      return fail("span " + std::to_string(s.id) + " has invalid kind");
     }
   }
 
-  // Forward adjacency: parent -> child and link-source -> target.
-  std::vector<std::vector<size_t>> out(spans.size());
-  std::vector<bool> has_in(spans.size(), false);
+  // Edges in span order, parent first, then counting-sorted by source: the
+  // sort is stable, so each span's successors keep that order.
+  std::vector<std::pair<uint32_t, uint32_t>> edges;  // (source, target)
+  edges.reserve(spans.size());
   for (size_t i = 0; i < spans.size(); ++i) {
     const Span& s = spans[i];
     if (s.parent != kNoSpan) {
-      const auto it = index.find(s.parent);
-      if (it == index.end()) {
-        *err = Describe(s) + " references missing parent " +
-               std::to_string(s.parent);
-        return false;
+      const uint32_t p = find(s.parent);
+      if (p == kNone) {
+        return fail(Describe(s) + " references missing parent " + std::to_string(s.parent));
       }
-      const Span& p = spans[it->second];
-      if (p.t0 > s.t0 || s.t1 > p.t1) {
-        *err = "parent " + Describe(p) + " interval [" + std::to_string(p.t0) +
-               "," + std::to_string(p.t1) + "] does not contain child " +
-               Describe(s) + " [" + std::to_string(s.t0) + "," +
-               std::to_string(s.t1) + "]";
-        return false;
+      const Span& ps = spans[p];
+      if (err != nullptr && (ps.t0 > s.t0 || s.t1 > ps.t1)) {
+        return fail("parent " + Describe(ps) + " interval [" + std::to_string(ps.t0) + "," +
+                    std::to_string(ps.t1) + "] does not contain child " + Describe(s) +
+                    " [" + std::to_string(s.t0) + "," + std::to_string(s.t1) + "]");
       }
-      out[it->second].push_back(i);
-      has_in[i] = true;
+      edges.emplace_back(p, static_cast<uint32_t>(i));
     }
     for (const SpanId l : s.links) {
-      const auto it = index.find(l);
-      if (it == index.end()) {
-        *err = Describe(s) + " references missing link source " +
-               std::to_string(l);
-        return false;
+      const uint32_t src = find(l);
+      if (src == kNone) {
+        return fail(Describe(s) + " references missing link source " + std::to_string(l));
       }
-      out[it->second].push_back(i);
-      has_in[i] = true;
+      edges.emplace_back(src, static_cast<uint32_t>(i));
     }
+  }
+  g->offsets.assign(spans.size() + 1, 0);
+  for (const auto& [src, dst] : edges) {
+    ++g->offsets[src + 1];
+  }
+  std::partial_sum(g->offsets.begin(), g->offsets.end(), g->offsets.begin());
+  g->targets.resize(edges.size());
+  std::vector<uint32_t> fill(g->offsets.begin(), g->offsets.end() - 1);
+  for (const auto& [src, dst] : edges) {
+    g->targets[fill[src]++] = dst;
+  }
+  return true;
+}
+
+bool CheckSpanDag(const std::vector<Span>& spans, std::string* err) {
+  SpanGraph g;
+  if (!BuildSpanGraph(spans, &g, err)) {
+    return false;
   }
 
   // Roots must be root kinds; every span must be reachable from a root; the
   // whole graph must be acyclic. One iterative DFS with tricolor marking
-  // covers both: 0 = white, 1 = on stack, 2 = done.
+  // covers both: 0 = white, 1 = on stack, 2 = done. A frame is (node, position
+  // of its next successor in g.targets).
   std::vector<uint8_t> color(spans.size(), 0);
-  std::vector<size_t> stack;
-  size_t reached = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> frames;
   for (size_t r = 0; r < spans.size(); ++r) {
-    if (has_in[r]) {
+    if (spans[r].parent != kNoSpan || !spans[r].links.empty()) {
       continue;
     }
     if (!SpanKindIsRoot(spans[r].kind)) {
@@ -85,39 +119,30 @@ bool CheckSpanDag(const std::vector<Span>& spans, std::string* err) {
              " is an orphan: interior kind with no parent and no causal link";
       return false;
     }
-    if (color[r] != 0) {
-      continue;
-    }
-    // Iterative DFS; a frame is (node, next-child-index) packed in two stacks.
-    std::vector<std::pair<size_t, size_t>> frames;
-    frames.emplace_back(r, 0);
+    frames.emplace_back(static_cast<uint32_t>(r), g.offsets[r]);
     color[r] = 1;
-    ++reached;
     while (!frames.empty()) {
       auto& [n, next] = frames.back();
-      if (next >= out[n].size()) {
+      if (next == g.offsets[n + 1]) {
         color[n] = 2;
         frames.pop_back();
         continue;
       }
-      const size_t c = out[n][next++];
+      const uint32_t c = g.targets[next++];
       if (color[c] == 1) {
         *err = "cycle through " + Describe(spans[c]);
         return false;
       }
       if (color[c] == 0) {
         color[c] = 1;
-        ++reached;
-        frames.emplace_back(c, 0);
+        frames.emplace_back(c, g.offsets[c]);
       }
     }
   }
-  if (reached != spans.size()) {
-    for (size_t i = 0; i < spans.size(); ++i) {
-      if (color[i] == 0) {
-        *err = Describe(spans[i]) + " is not reachable from any root";
-        return false;
-      }
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (color[i] == 0) {
+      *err = Describe(spans[i]) + " is not reachable from any root";
+      return false;
     }
   }
   return true;

@@ -4,7 +4,11 @@
 // writer/parser pair that backs the run-summary files.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -303,6 +307,124 @@ TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
   EXPECT_TRUE(v.arr[1].IsNull());
 }
 
+// The writer formats numbers with std::to_chars, which the standard defines
+// as printf in the C locale; run summaries are pinned byte-for-byte, so check
+// the equivalence against snprintf itself across the whole double range.
+std::string PrintfDouble(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string WrittenDouble(double v) {
+  JsonWriter w;
+  w.Double(v);
+  return w.str();
+}
+
+TEST(JsonWriter, DoublesMatchPrintfReference) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 1.5, 1e21, 1e22, 1e-5, 1e-7, 123456789012345678.0,
+      -5.0, 42.0, 9007199254740992.0, 9007199254740993.0, 4503599627370496.5, 1e16, 1e17,
+      -1e17, 99999999999999984.0, -99999999999999984.0, 1e17 + 16.0,
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), std::numeric_limits<double>::epsilon()};
+  Rng rng(20261017);
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t bits = rng.NextU64();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);                                                 // any exponent
+    values.push_back(static_cast<double>(static_cast<int64_t>(bits)));   // integral
+    values.push_back(static_cast<double>(bits >> rng.NextInt(0, 63)));   // small integral
+    const uint64_t subnormal = bits & ((uint64_t{1} << 52) - 1);         // exponent 0
+    std::memcpy(&v, &subnormal, sizeof(v));
+    values.push_back(rng.NextBool() ? v : -v);
+    values.push_back(rng.NextDouble() * 1e6);                            // sampler-like
+  }
+  auto bits = [](double v) {
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  for (const double v : values) {
+    const std::string expect = std::isfinite(v) ? PrintfDouble(v) : "null";
+    ASSERT_EQ(WrittenDouble(v), expect) << "bits " << std::hex << bits(v);
+    if (std::isfinite(v)) {
+      // The parser reads every written double back bit-exactly.
+      JsonValue parsed;
+      std::string err;
+      ASSERT_TRUE(ParseJson(expect, &parsed, &err)) << err;
+      ASSERT_EQ(bits(parsed.AsDouble()), bits(v)) << expect;
+    }
+  }
+}
+
+TEST(JsonWriter, IntsMatchPrintfReference) {
+  std::vector<int64_t> values = {0, 1, -1, 9, 10, -10, std::numeric_limits<int64_t>::max(),
+                                 std::numeric_limits<int64_t>::min(),
+                                 std::numeric_limits<int64_t>::min() + 1,
+                                 std::numeric_limits<int64_t>::max() - 1};
+  Rng rng(7);
+  for (int i = 0; i < 100000; ++i) {
+    const int64_t v = static_cast<int64_t>(rng.NextU64());
+    values.push_back(v);
+    values.push_back(v >> rng.NextInt(0, 63));
+  }
+  for (const int64_t v : values) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%" PRId64, v);
+    JsonWriter w;
+    w.Int(v);
+    ASSERT_EQ(w.str(), buf);
+  }
+}
+
+TEST(JsonWriter, EscapesEveryByteLikeThePrintfReference) {
+  for (int b = 0; b < 256; ++b) {
+    const unsigned char c = static_cast<unsigned char>(b);
+    std::string expect;
+    switch (c) {
+      case '"':
+        expect = "\\\"";
+        break;
+      case '\\':
+        expect = "\\\\";
+        break;
+      case '\n':
+        expect = "\\n";
+        break;
+      case '\r':
+        expect = "\\r";
+        break;
+      case '\t':
+        expect = "\\t";
+        break;
+      case '\b':
+        expect = "\\b";
+        break;
+      case '\f':
+        expect = "\\f";
+        break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          expect = buf;
+        } else {
+          expect = std::string(1, static_cast<char>(c));
+        }
+    }
+    const std::string in = {'a', static_cast<char>(c), 'b'};
+    const std::string escaped = std::string("a").append(expect).append("b");
+    EXPECT_EQ(JsonWriter::Escape(in), escaped) << "byte " << b;
+    JsonWriter w;
+    w.String(in);
+    EXPECT_EQ(w.str(), '"' + escaped + '"') << "byte " << b;
+  }
+}
+
 TEST(JsonParser, RoundTripsNumbers) {
   JsonValue v;
   std::string err;
@@ -314,6 +436,15 @@ TEST(JsonParser, RoundTripsNumbers) {
   EXPECT_EQ(v.arr[3].AsDouble(), 1.25);
   EXPECT_EQ(v.arr[4].AsDouble(), 1000.0);
   EXPECT_EQ(v.arr[5].AsDouble(), -0.025);
+
+  // Past the double range: infinities and zero, as strtod gives; past int64:
+  // a double, not an integer.
+  ASSERT_TRUE(ParseJson("[1e400, -1e400, 1e-400, 99999999999999999999]", &v, &err)) << err;
+  EXPECT_EQ(v.arr[0].AsDouble(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(v.arr[1].AsDouble(), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(v.arr[2].AsDouble(), 0.0);
+  EXPECT_FALSE(v.arr[3].is_int);
+  EXPECT_EQ(v.arr[3].AsDouble(), 1e20);
 }
 
 TEST(JsonParser, HandlesUnicodeEscapes) {

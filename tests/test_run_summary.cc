@@ -5,8 +5,11 @@
 // the simulation computes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <string>
 
+#include "src/apps/app.h"
 #include "src/metrics/json.h"
 #include "src/metrics/metrics.h"
 #include "src/metrics/run_summary_schema.h"
@@ -125,6 +128,45 @@ TEST(RunSummary, DeterministicAcrossRuns) {
   const RunResult a = RunWithMetrics(ProtocolKind::kHlrc, Micros(100));
   const RunResult b = RunWithMetrics(ProtocolKind::kHlrc, Micros(100));
   EXPECT_EQ(a.json, b.json);
+}
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    h = (h ^ c) * 1099511628211ull;
+  }
+  return h;
+}
+
+// Byte pin for the exporter: one fixed tiny run with metrics, spans and a 1%
+// drop rate (so retransmit spans and fault counters are populated). Any change
+// to the writer's number formatting, escaping or section order moves the hash;
+// a change that means to alter the document must update the pin deliberately.
+TEST(RunSummary, ExportBytesArePinned) {
+  SimConfig cfg = testing::SmallConfig(ProtocolKind::kHlrc, 4, /*shared_bytes=*/4 << 20,
+                                       /*page_size=*/4096);
+  cfg.seed = 3;
+  cfg.reliability.enabled = true;
+  cfg.fault.seed = 11;
+  cfg.fault.drop_prob = 0.01;
+  System sys(cfg);
+  sys.EnableMetrics(Micros(100));
+  sys.EnableSpans(1 << 18);
+  std::unique_ptr<App> app = MakeApp("water-nsq", AppScale::kTiny);
+  app->Setup(sys);
+  sys.Run(app->Program());
+  std::string why;
+  ASSERT_TRUE(app->Verify(sys, &why)) << why;
+  ASSERT_GT(sys.network().TotalStats().msgs_dropped_in_net, 0)
+      << "no frame was dropped; the pin would not cover the fault counters";
+
+  RunSummaryMeta meta;
+  meta.app = "water-nsq";
+  meta.scale = "tiny";
+  meta.verified = true;
+  const std::string json = RunSummaryJson(sys, meta);
+  EXPECT_EQ(json.size(), 145042u);
+  EXPECT_EQ(Fnv1a64(json), 638057177989180044ull);
 }
 
 TEST(RunSummary, HistogramCountsMatchWaitEvents) {

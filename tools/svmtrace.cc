@@ -316,7 +316,7 @@ int Main(int argc, char** argv) {
     } else if (arg == "--per-page") {
       per_page = true;
     } else if (arg.rfind("--top=", 0) == 0) {
-      top = std::atoll(arg.substr(std::strlen("--top=")).c_str());
+      top = ParseIntFlag(kTool, "--top", arg.substr(std::strlen("--top=")));
       if (top <= 0) {
         UsageError(kTool, "--top must be positive");
       }
