@@ -33,6 +33,11 @@ class App {
   // Verifies the converged shared state against a sequential reference.
   // Returns true on success; fills `why` otherwise.
   virtual bool Verify(System& sys, std::string* why) = 0;
+
+  // Checks the application's preconditions on a run configuration before any
+  // System is built. Returns an empty string if the app can run under
+  // `config`, otherwise a one-line reason.
+  virtual std::string Validate(const SimConfig& /*config*/) const { return ""; }
 };
 
 // Problem scale presets.

@@ -11,7 +11,43 @@ namespace {
 
 constexpr int kLockBase = 100;  // Per-partition force locks.
 
+// Copies molecules [b, e) of the interleaved positions into x, y and z.
+void SplitPositions(const double* pos, int b, int e, double* x, double* y, double* z) {
+  for (int m = b; m < e; ++m) {
+    x[m] = pos[m * 3 + 0];
+    y[m] = pos[m * 3 + 1];
+    z[m] = pos[m * 3 + 2];
+  }
+}
+
+// Pair forces of molecules [ib, ie), each against the following n/2
+// molecules (wrapping past n-1 to 0), accumulated both-sided into f
+// (interleaved xyz). Row i's wrapped range is split into at most two
+// straight ones, visited in the same order. Returns flops.
+int64_t ForceRows(const double* x, const double* y, const double* z, int n, int ib, int ie,
+                  double box, double cutoff2, double* f) {
+  const int half = n / 2;
+  int64_t flops = 6ll * half * (ie - ib);  // The two-sided accumulation.
+  for (int i = ib; i < ie; ++i) {
+    double* fi = f + static_cast<size_t>(i) * 3;
+    const int end = i + 1 + half;
+    flops += md::PairForceRow(x, y, z, i, i + 1, std::min(end, n), box, cutoff2, fi, f);
+    if (end > n) {
+      flops += md::PairForceRow(x, y, z, i, 0, end - n, box, cutoff2, fi, f);
+    }
+  }
+  return flops;
+}
+
 }  // namespace
+
+std::string WaterNsqApp::Validate(const SimConfig& config) const {
+  if (config.nodes > 0 && cfg_.molecules % config.nodes != 0) {
+    return "Water-Nsquared: molecules (" + std::to_string(cfg_.molecules) +
+           ") must be divisible by nodes (" + std::to_string(config.nodes) + ")";
+  }
+  return "";
+}
 
 void WaterNsqApp::Setup(System& sys) {
   const int64_t arr = static_cast<int64_t>(cfg_.molecules) * 3 * 8;
@@ -28,11 +64,6 @@ void WaterNsqApp::InitMolecules(double* pos, double* vel) const {
       vel[m * 3 + d] = (rng.NextDouble() - 0.5) * 0.1;
     }
   }
-}
-
-int64_t WaterNsqApp::PairForce(const double* pos, int i, int j, double box, double cutoff2,
-                               double* fx, double* fy, double* fz) {
-  return md::PairForce(pos, i, j, box, cutoff2, fx, fy, fz);
 }
 
 Task<void> WaterNsqApp::NodeMain(NodeContext& ctx) {
@@ -95,23 +126,18 @@ Task<void> WaterNsqApp::NodeMain(NodeContext& ctx) {
       }
 
       std::fill(local_f.begin(), local_f.end(), 0.0);
-      const double* pos = ctx.Ptr<double>(pos_);
       int64_t flops = 0;
-      for (int i = first; i < first + per; ++i) {
-        for (int off = 1; off <= half; ++off) {
-          const int j = (i + off) % n;
-          double fx = 0;
-          double fy = 0;
-          double fz = 0;
-          flops += PairForce(pos, i, j, cfg_.box, cutoff2, &fx, &fy, &fz);
-          local_f[static_cast<size_t>(i) * 3 + 0] += fx;
-          local_f[static_cast<size_t>(i) * 3 + 1] += fy;
-          local_f[static_cast<size_t>(i) * 3 + 2] += fz;
-          local_f[static_cast<size_t>(j) * 3 + 0] -= fx;
-          local_f[static_cast<size_t>(j) * 3 + 1] -= fy;
-          local_f[static_cast<size_t>(j) * 3 + 2] -= fz;
-          flops += 6;
-        }
+      {
+        // Per-step structure-of-arrays copy of the positions just read; freed
+        // before the next suspension, so one node's copy is live at a time.
+        std::vector<double> xyz(static_cast<size_t>(n) * 3);
+        double* x = xyz.data();
+        double* y = x + n;
+        double* z = y + n;
+        const double* pos = ctx.Ptr<double>(pos_);
+        SplitPositions(pos, first, first + straight, x, y, z);
+        SplitPositions(pos, 0, need - straight, x, y, z);
+        flops = ForceRows(x, y, z, n, first, first + per, cfg_.box, cutoff2, local_f.data());
       }
       co_await ctx.ComputeFlops(flops);
 
@@ -175,7 +201,10 @@ bool WaterNsqApp::Verify(System& sys, std::string* why) {
     std::vector<double> frc(static_cast<size_t>(n) * 3, 0.0);
     InitMolecules(ref_pos_.data(), ref_vel_.data());
     const double cutoff2 = cfg_.cutoff * cfg_.cutoff;
-    const int half = n / 2;
+    std::vector<double> xyz(static_cast<size_t>(n) * 3);
+    double* x = xyz.data();
+    double* y = x + n;
+    double* z = y + n;
     for (int step = 0; step < cfg_.steps; ++step) {
       for (int m = 0; m < n; ++m) {
         for (int d = 0; d < 3; ++d) {
@@ -184,21 +213,8 @@ bool WaterNsqApp::Verify(System& sys, std::string* why) {
           frc[static_cast<size_t>(m) * 3 + d] = 0;
         }
       }
-      for (int i = 0; i < n; ++i) {
-        for (int off = 1; off <= half; ++off) {
-          const int j = (i + off) % n;
-          double fx = 0;
-          double fy = 0;
-          double fz = 0;
-          PairForce(ref_pos_.data(), i, j, cfg_.box, cutoff2, &fx, &fy, &fz);
-          frc[static_cast<size_t>(i) * 3 + 0] += fx;
-          frc[static_cast<size_t>(i) * 3 + 1] += fy;
-          frc[static_cast<size_t>(i) * 3 + 2] += fz;
-          frc[static_cast<size_t>(j) * 3 + 0] -= fx;
-          frc[static_cast<size_t>(j) * 3 + 1] -= fy;
-          frc[static_cast<size_t>(j) * 3 + 2] -= fz;
-        }
-      }
+      SplitPositions(ref_pos_.data(), 0, n, x, y, z);
+      ForceRows(x, y, z, n, 0, n, cfg_.box, cutoff2, frc.data());
       for (int m = 0; m < n; ++m) {
         for (int d = 0; d < 3; ++d) {
           ref_vel_[static_cast<size_t>(m) * 3 + d] += frc[static_cast<size_t>(m) * 3 + d] * cfg_.dt;

@@ -28,17 +28,17 @@ class WaterNsqApp : public App {
   void Setup(System& sys) override;
   System::Program Program() override;
   bool Verify(System& sys, std::string* why) override;
+  std::string Validate(const SimConfig& config) const override;
 
   const WaterNsqConfig& config() const { return cfg_; }
+  // Shared position and velocity arrays (molecule-major, xyz); valid after
+  // Setup.
+  GlobalAddr pos_addr() const { return pos_; }
+  GlobalAddr vel_addr() const { return vel_; }
 
  private:
   Task<void> NodeMain(NodeContext& ctx);
   void InitMolecules(double* pos, double* vel) const;
-
-  // Pair interaction force on molecule i from j (both-side accumulation is
-  // done by the caller). Returns flops performed.
-  static int64_t PairForce(const double* pos, int i, int j, double box, double cutoff2,
-                           double* fx, double* fy, double* fz);
 
   WaterNsqConfig cfg_;
   GlobalAddr pos_ = 0;
