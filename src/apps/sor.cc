@@ -1,6 +1,9 @@
 #include "src/apps/sor.h"
 
+#include <cstddef>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/svm/partition.h"
@@ -8,17 +11,24 @@
 namespace hlrc {
 namespace {
 
+// One relaxation of a row from its three source rows; `up`/`down` are
+// nullptr at the grid's edges. 4 flops per element.
+void SweepRow(double* dst, const double* up, const double* mid, const double* down, int cols) {
+  for (int j = 0; j < cols; ++j) {
+    const double u = up != nullptr ? up[j] : 0.0;
+    const double d = down != nullptr ? down[j] : 0.0;
+    const double left = j > 0 ? mid[j - 1] : 0.0;
+    const double right = j < cols - 1 ? mid[j + 1] : 0.0;
+    dst[j] = 0.25 * (u + d + left + right);
+  }
+}
+
 // One red-black relaxation sweep over [first, last] of `dst`, reading `src`.
-// 4 flops per element.
 void SweepRows(double* dst, const double* src, int cols, int first, int last, int rows) {
   for (int i = first; i <= last; ++i) {
-    for (int j = 0; j < cols; ++j) {
-      const double up = i > 0 ? src[(i - 1) * cols + j] : 0.0;
-      const double down = i < rows - 1 ? src[(i + 1) * cols + j] : 0.0;
-      const double left = j > 0 ? src[i * cols + j - 1] : 0.0;
-      const double right = j < cols - 1 ? src[i * cols + j + 1] : 0.0;
-      dst[i * cols + j] = 0.25 * (up + down + left + right);
-    }
+    const double* mid = src + static_cast<ptrdiff_t>(i) * cols;
+    SweepRow(dst + static_cast<ptrdiff_t>(i) * cols, i > 0 ? mid - cols : nullptr, mid,
+             i < rows - 1 ? mid + cols : nullptr, cols);
   }
 }
 
@@ -115,41 +125,50 @@ System::Program SorApp::Program() {
 }
 
 bool SorApp::Verify(System& sys, std::string* why) {
-  const size_t total = static_cast<size_t>(cfg_.rows) * static_cast<size_t>(cfg_.cols);
-  if (ref_red_.empty()) {
-    ref_red_.resize(total);
-    ref_black_.resize(total);
-    for (int i = 0; i < cfg_.rows; ++i) {
-      InitRow(&ref_red_[static_cast<size_t>(i) * static_cast<size_t>(cfg_.cols)],
-              &ref_black_[static_cast<size_t>(i) * static_cast<size_t>(cfg_.cols)], i);
+  // The sequential reference, streamed as a row wavefront. Grid 0 and 1 are
+  // the initial red and black grids; grid 2k is red after k sweeps, computed
+  // from grid 2k-1, and grid 2k+1 black after k sweeps, from grid 2k. Row i
+  // of a grid needs rows i-1..i+1 of the grid before it only, so each grid
+  // keeps a ring of its last three rows, grid g runs g-1 rows behind the
+  // initialization, and the final red and black row i are checked as soon as
+  // both exist: O(iterations x cols) memory instead of two full grids.
+  const int rows = cfg_.rows;
+  const int cols = cfg_.cols;
+  const int grids = 2 * cfg_.iterations + 2;
+  std::vector<double> ring(static_cast<size_t>(grids) * 3 * static_cast<size_t>(cols));
+  auto row = [&](int grid, int i) {
+    return &ring[(static_cast<size_t>(grid) * 3 + static_cast<size_t>(i % 3)) *
+                 static_cast<size_t>(cols)];
+  };
+  for (int step = 0; step < rows + grids - 2; ++step) {
+    if (step < rows) {
+      InitRow(row(0, step), row(1, step), step);
     }
-    for (int iter = 0; iter < cfg_.iterations; ++iter) {
-      SweepRows(ref_red_.data(), ref_black_.data(), cfg_.cols, 0, cfg_.rows - 1, cfg_.rows);
-      SweepRows(ref_black_.data(), ref_red_.data(), cfg_.cols, 0, cfg_.rows - 1, cfg_.rows);
+    for (int grid = 2; grid < grids; ++grid) {
+      const int i = step - (grid - 1);
+      if (i < 0 || i >= rows) {
+        continue;
+      }
+      SweepRow(row(grid, i), i > 0 ? row(grid - 1, i - 1) : nullptr, row(grid - 1, i),
+               i < rows - 1 ? row(grid - 1, i + 1) : nullptr, cols);
     }
-  }
-
-  // Each band's final rows live at their owner.
-  for (NodeId n = 0; n < sys.config().nodes; ++n) {
-    int first = 0;
-    int last = 0;
-    BandOf(cfg_.rows, sys.config().nodes, n, &first, &last);
-    const double* red = reinterpret_cast<const double*>(sys.NodeMemory(n, RowAddr(red_, first)));
-    const double* black =
-        reinterpret_cast<const double*>(sys.NodeMemory(n, RowAddr(black_, first)));
-    for (int i = 0; i <= last - first; ++i) {
-      for (int j = 0; j < cfg_.cols; ++j) {
-        const size_t ref_idx =
-            (static_cast<size_t>(first + i)) * static_cast<size_t>(cfg_.cols) +
-            static_cast<size_t>(j);
-        if (red[i * cfg_.cols + j] != ref_red_[ref_idx] ||
-            black[i * cfg_.cols + j] != ref_black_[ref_idx]) {
-          if (why != nullptr) {
-            *why = "SOR: node " + std::to_string(n) + " row " + std::to_string(first + i) +
-                   " col " + std::to_string(j) + " mismatch";
-          }
-          return false;
+    // Each row's final values live at the row's owner.
+    const int i = step - (grids - 2);
+    if (i < 0) {
+      continue;
+    }
+    const NodeId n = BandOwner(rows, sys.config().nodes, i);
+    const double* red = reinterpret_cast<const double*>(sys.NodeMemory(n, RowAddr(red_, i)));
+    const double* black = reinterpret_cast<const double*>(sys.NodeMemory(n, RowAddr(black_, i)));
+    const double* ref_red = row(grids - 2, i);
+    const double* ref_black = row(grids - 1, i);
+    for (int j = 0; j < cols; ++j) {
+      if (red[j] != ref_red[j] || black[j] != ref_black[j]) {
+        if (why != nullptr) {
+          *why = "SOR: node " + std::to_string(n) + " row " + std::to_string(i) + " col " +
+                 std::to_string(j) + " mismatch";
         }
+        return false;
       }
     }
   }

@@ -4,8 +4,6 @@
 #ifndef SRC_APPS_SOR_H_
 #define SRC_APPS_SOR_H_
 
-#include <vector>
-
 #include "src/apps/app.h"
 
 namespace hlrc {
@@ -30,6 +28,8 @@ class SorApp : public App {
   bool Verify(System& sys, std::string* why) override;
 
   const SorConfig& config() const { return cfg_; }
+  GlobalAddr red_addr() const { return red_; }
+  GlobalAddr black_addr() const { return black_; }
 
  private:
   GlobalAddr RowAddr(GlobalAddr base, int row) const;
@@ -40,8 +40,6 @@ class SorApp : public App {
   SorConfig cfg_;
   GlobalAddr red_ = 0;
   GlobalAddr black_ = 0;
-  std::vector<double> ref_red_;
-  std::vector<double> ref_black_;
 };
 
 }  // namespace hlrc

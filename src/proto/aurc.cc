@@ -24,7 +24,7 @@ void AurcProtocol::OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
       continue;
     }
     HLRC_CHECK(pages().HasTwin(p));
-    Diff d = CreateDiff(p, pages().State(p).twin.get(), pages().PageData(p),
+    Diff d = CreateDiff(p, pages().Twin(p), pages().PageData(p),
                         pages().page_size(), env().options->diff_word_bytes);
     pages().DropTwin(p);
     if (d.Empty()) {

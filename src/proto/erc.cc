@@ -12,7 +12,7 @@ void ErcProtocol::OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
   int64_t update_bytes = 0;
   for (PageId p : rec->pages) {
     HLRC_CHECK(pages().HasTwin(p));
-    Diff d = CreateDiff(p, pages().State(p).twin.get(), pages().PageData(p),
+    Diff d = CreateDiff(p, pages().Twin(p), pages().PageData(p),
                         pages().page_size(), env().options->diff_word_bytes);
     pages().DropTwin(p);
     if (d.Empty()) {
@@ -79,7 +79,7 @@ bool ErcProtocol::OnWriteNotice(const IntervalPtr& /*rec*/, PageId /*page*/) {
 
 Task<void> ErcProtocol::ResolveFault(PageId page, bool write) {
   // Pages are always valid; only write-protection upgrades fault.
-  HLRC_CHECK(pages().State(page).prot != PageProt::kNone);
+  HLRC_CHECK(pages().State(page).prot() != PageProt::kNone);
   if (!write) {
     co_return;
   }
@@ -88,7 +88,7 @@ Task<void> ErcProtocol::ResolveFault(PageId page, bool write) {
       co_await ChargeCpu(costs().TwinCost(pages().page_size()), BusyCat::kTwin);
       pages().MakeTwin(page);
     }
-    pages().State(page).prot = PageProt::kReadWrite;
+    pages().State(page).set_prot(PageProt::kReadWrite);
     co_await ChargeCpu(costs().page_protect, BusyCat::kFault);
     // Incoming updates never invalidate, so the grant is stable.
     MarkDirty(page);
@@ -108,7 +108,7 @@ void ErcProtocol::HandleUpdate(NodeId writer, uint64_t flush_id, std::vector<Dif
     if (pages().HasTwin(d.page)) {
       // Concurrent local writes on a falsely-shared page: keep the twin in
       // sync so the local diff stays disjoint.
-      ApplyDiff(d, pages().State(d.page).twin.get(), pages().page_size());
+      ApplyDiff(d, pages().Twin(d.page), pages().page_size());
     }
     ++stats_.diffs_applied;
     MetricDiffApplied(d.page, d.DataBytes());

@@ -35,7 +35,7 @@ void HlrcProtocol::OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
       continue;
     }
     HLRC_CHECK(pages().HasTwin(p));
-    Diff d = CreateDiff(p, pages().State(p).twin.get(), pages().PageData(p),
+    Diff d = CreateDiff(p, pages().Twin(p), pages().PageData(p),
                         pages().page_size(), env().options->diff_word_bytes);
     pages().DropTwin(p);
     if (d.Empty()) {
@@ -113,8 +113,8 @@ bool HlrcProtocol::OnWriteNotice(const IntervalPtr& rec, PageId page) {
       return false;
     }
   }
-  const bool was_mapped = st.prot != PageProt::kNone;
-  st.prot = PageProt::kNone;
+  const bool was_mapped = st.prot() != PageProt::kNone;
+  st.set_prot(PageProt::kNone);
   return was_mapped;
 }
 
@@ -130,7 +130,7 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
   // the software equivalent of the store re-faulting on real hardware.
   while (true) {
   const NodeId home = BelievedHomeOf(page);
-  if (pages().State(page).prot == PageProt::kNone) {
+  if (pages().State(page).prot() == PageProt::kNone) {
     if (home == self()) {
       // Wait for in-flight diffs to land on the master copy; purely local.
       // Loop: new write notices may extend the requirement while waiting.
@@ -176,7 +176,7 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
         }
       }
     }
-    pages().State(page).prot = PageProt::kRead;
+    pages().State(page).set_prot(PageProt::kRead);
     co_await ChargeCpu(costs().page_protect, BusyCat::kFault);
     continue;  // Re-check: the charge may have crossed an invalidation.
   }
@@ -185,14 +185,14 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
   }
   if (BelievedHomeOf(page) != self() && !pages().HasTwin(page)) {
     co_await ChargeCpu(WriteCaptureCost(), BusyCat::kTwin);
-    if (pages().State(page).prot == PageProt::kNone) {
+    if (pages().State(page).prot() == PageProt::kNone) {
       continue;  // Invalidated during the twin charge: the data is stale.
     }
     pages().MakeTwin(page);
   }
-  pages().State(page).prot = PageProt::kReadWrite;
+  pages().State(page).set_prot(PageProt::kReadWrite);
   co_await ChargeCpu(costs().page_protect, BusyCat::kFault);
-  if (pages().State(page).prot == PageProt::kNone) {
+  if (pages().State(page).prot() == PageProt::kNone) {
     continue;  // Invalidated during the protect charge.
   }
   MarkDirty(page);
@@ -281,8 +281,8 @@ void HlrcProtocol::HandleHomeTransfer(PageId page, const std::vector<std::byte>&
   meta_.AdoptApplied(page, applied);
   meta_.SetApplied(page, self(), vt().Get(self()));
   meta_.SetHomeOverride(page, self());
-  if (pages().State(page).prot == PageProt::kNone) {
-    pages().State(page).prot = PageProt::kRead;
+  if (pages().State(page).prot() == PageProt::kNone) {
+    pages().State(page).set_prot(PageProt::kRead);
   }
   // A fetch of this very page may be in flight (we asked the old home just
   // before becoming the home): the transferred master satisfies it. The

@@ -23,6 +23,10 @@
 
 namespace hlrc {
 
+// One GC's validator of each page, ascending by page: built once by the
+// manager and shared, immutable, by every node's payload and GC state.
+using GcValidators = std::shared_ptr<const std::vector<std::pair<PageId, NodeId>>>;
+
 class LrcProtocol : public ProtocolNode {
  public:
   explicit LrcProtocol(const Env& env) : ProtocolNode(env), meta_(env.nodes) {}
@@ -48,8 +52,7 @@ class LrcProtocol : public ProtocolNode {
   // Garbage collection.
   void HandleGcRequest();
   void HandleGcInfo(NodeId node, std::vector<std::pair<PageId, IntervalPtr>> entries);
-  void ApplyGcValidate(const std::vector<std::pair<PageId, NodeId>>& validators,
-                       const IntervalBatch& intervals);
+  void ApplyGcValidate(GcValidators validators, const IntervalBatch& intervals);
   Task<void> ValidateForGc(std::vector<PageId> pages);
   void HandleGcDone();
 
@@ -58,8 +61,8 @@ class LrcProtocol : public ProtocolNode {
   LrcPageTable meta_;
 
   // GC state (node side): the current GC's validator of each page, ascending
-  // by page as the manager sent them.
-  std::vector<std::pair<PageId, NodeId>> gc_validators_;
+  // by page as the manager sent them; null outside a GC.
+  GcValidators gc_validators_;
 
   // TestMutation::kLrcSkipInvalidate fires once per run.
   bool mutation_fired_ = false;
@@ -108,7 +111,7 @@ struct GcInfoPayload : Payload {
 };
 
 struct GcValidatePayload : Payload {
-  std::vector<std::pair<PageId, NodeId>> validators;
+  GcValidators validators;
   // The write notices this node's barrier release will carry, delivered
   // early: a validator must know every pre-barrier interval of its pages
   // before validating, or it would discover new diffs only after they have

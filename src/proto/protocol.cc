@@ -214,8 +214,8 @@ ProtocolNode::CloseActions ProtocolNode::CloseIntervalPrepared() {
   for (PageId p : rec->pages) {
     PageState& st = env_.pages->State(p);
     dirty_flag_[static_cast<size_t>(p)] = false;
-    if (st.prot == PageProt::kReadWrite) {
-      st.prot = PageProt::kRead;
+    if (st.prot() == PageProt::kReadWrite) {
+      st.set_prot(PageProt::kRead);
       actions.protect_cost += costs().page_protect;
       Cover(CoverageObserver::Domain::kPageTransition,
             (static_cast<uint64_t>(PageProt::kReadWrite) << 8) |
@@ -283,14 +283,14 @@ SimTime ProtocolNode::ApplyIntervals(const IntervalBatch& recs) {
     stats_.write_notices_received += static_cast<int64_t>(rec.pages.size());
     cost += costs().wn_apply * static_cast<SimTime>(rec.pages.size());
     for (PageId p : rec.pages) {
-      const PageProt before = env_.pages->State(p).prot;
+      const PageProt before = env_.pages->State(p).prot();
       const bool did_invalidate = OnWriteNotice(handle, p);
       if (did_invalidate) {
         ++invalidated;
       }
       Cover(CoverageObserver::Domain::kPageTransition,
             (static_cast<uint64_t>(before) << 8) |
-                static_cast<uint64_t>(env_.pages->State(p).prot),
+                static_cast<uint64_t>(env_.pages->State(p).prot()),
             did_invalidate ? 1 : 0);  // Cause 1: invalidated, 0: kept.
     }
     known_interval_bytes_ += IntervalBytes(rec);
@@ -310,10 +310,10 @@ void ProtocolNode::InstallPageData(PageId page, const std::vector<std::byte>& da
   HLRC_CHECK(static_cast<int64_t>(data.size()) == pages().page_size());
   std::byte* dst = pages().PageData(page);
   if (pages().HasTwin(page)) {
-    Diff local = CreateDiff(page, pages().State(page).twin.get(), dst, pages().page_size(),
+    Diff local = CreateDiff(page, pages().Twin(page), dst, pages().page_size(),
                             env().options->diff_word_bytes);
     std::memcpy(dst, data.data(), data.size());
-    std::memcpy(pages().State(page).twin.get(), data.data(), data.size());
+    std::memcpy(pages().Twin(page), data.data(), data.size());
     ApplyDiff(local, dst, pages().page_size());
   } else {
     std::memcpy(dst, data.data(), data.size());
@@ -339,8 +339,8 @@ Task<void> ProtocolNode::EnsureAccessSpans(std::vector<PageSpan> spans) {
                  span.first <= span.last);
       for (PageId p = span.first; p <= span.last; ++p) {
         const PageState& st = env_.pages->State(p);
-        const bool invalid = st.prot == PageProt::kNone;
-        const bool needs_write_upgrade = span.write && st.prot != PageProt::kReadWrite;
+        const bool invalid = st.prot() == PageProt::kNone;
+        const bool needs_write_upgrade = span.write && st.prot() != PageProt::kReadWrite;
         if (invalid || needs_write_upgrade) {
           fault_page = p;
           fault_write = span.write;
@@ -373,16 +373,16 @@ Task<void> ProtocolNode::EnsureAccessSpans(std::vector<PageSpan> spans) {
       metrics_->heat->OnFault(fault_page, fault_write);
       ++*metrics_->outstanding_fetches;
     }
-    const PageProt prot_before = env_.pages->State(fault_page).prot;
+    const PageProt prot_before = env_.pages->State(fault_page).prot();
     co_await ResolveFault(fault_page, fault_write);
     if (metrics_ != nullptr) {
       --*metrics_->outstanding_fetches;
     }
     Cover(CoverageObserver::Domain::kPageTransition,
           (static_cast<uint64_t>(prot_before) << 8) |
-              static_cast<uint64_t>(env_.pages->State(fault_page).prot),
+              static_cast<uint64_t>(env_.pages->State(fault_page).prot()),
           fault_write ? 4 : 3);  // Cause 3: read fault, 4: write fault.
-    HLRC_DCHECK(env_.pages->State(fault_page).prot != PageProt::kNone);
+    HLRC_DCHECK(env_.pages->State(fault_page).prot() != PageProt::kNone);
     cur_fault_span_ = kNoSpan;
     SpanEnd(fault_span);
     ws.Finish();
