@@ -61,6 +61,11 @@ std::unique_ptr<App> MakeApp(const std::string& name, AppScale scale,
 std::unique_ptr<App> TryMakeApp(const std::string& name, AppScale scale,
                                 std::optional<uint64_t> seed = std::nullopt);
 
+// Ends the process with exit status 2, after printing App::Validate's reason
+// to stderr, if `app` cannot run under `config`: bad input, not a failed run.
+// Flushes stdout and runs no destructors, so it is safe on a worker thread.
+void ExitIfInvalid(const App& app, const SimConfig& config);
+
 // The five benchmark names evaluated in the paper, in its order.
 const std::vector<std::string>& AppNames();
 

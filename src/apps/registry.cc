@@ -3,6 +3,8 @@
 // app's .cc); this file only owns the table and the fixed paper-ordering
 // lists. New applications — including out-of-tree extensions like the
 // synthetic workloads in src/wkld — need no edit here.
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -64,6 +66,14 @@ std::unique_ptr<App> MakeApp(const std::string& name, AppScale scale,
   std::unique_ptr<App> app = TryMakeApp(name, scale, seed);
   HLRC_CHECK_MSG(app != nullptr, "unknown app '%s'", name.c_str());
   return app;
+}
+
+void ExitIfInvalid(const App& app, const SimConfig& config) {
+  if (const std::string why = app.Validate(config); !why.empty()) {
+    std::fprintf(stderr, "%s\n", why.c_str());
+    std::fflush(stdout);
+    std::_Exit(2);
+  }
 }
 
 AppRunResult RunApp(App& app, const SimConfig& config) {

@@ -369,10 +369,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
-  if (const std::string why = app->Validate(cfg); !why.empty()) {
-    std::fprintf(stderr, "%s\n", why.c_str());
-    return 2;
-  }
+  ExitIfInvalid(*app, cfg);
   System sys(cfg);
   TraceLog* trace = o.trace_path.empty() ? nullptr : sys.EnableTracing();
   // Metrics ride along whenever a run summary is requested, and also when a
