@@ -1,139 +1,80 @@
 #include "bench/bench_util.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/common/check.h"
+#include "src/common/cli.h"
+#include "src/sim/sweep.h"
 #include "src/metrics/json_writer.h"
 
 namespace hlrc {
 namespace bench {
 namespace {
 
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    const size_t end = s.find(sep, start);
-    if (end == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
+FlagTable MakeFlags(const char* argv0, BenchOptions* o) {
+  const char* slash = std::strrchr(argv0, '/');
+  FlagTable flags(ToolInfo{
+      slash != nullptr ? slash + 1 : argv0,
+      "Regenerates one table or figure of the paper (EXPERIMENTS.md); every\n"
+      "data point is a verified run.",
+  });
+  flags.List("--nodes", "LIST", &o->node_counts, "node counts (default 8,32,64)",
+             Range<int>{1, kMaxNodes})
+      .Value("--scale", "S", &o->scale, "problem scale (default default)",
+             OneOf<AppScale>{kAppScaleNames})
+      .List("--apps", "LIST", &o->apps, "applications (default: the paper's five)",
+            Word{RegisteredAppNames()})
+      .List("--protocols", "LIST", &o->protocols, "protocols (default lrc,olrc,hlrc,ohlrc)",
+            OneOf<ProtocolKind>{kProtocolNames})
+      .Value("--page-size", "N", &o->page_size, "SVM page size, a power of two (default 4096)",
+             Range<int64_t>{1})
+      .Value("--home", "POLICY", &o->home_policy, "home placement (default block)",
+             OneOf<HomePolicy>{kHomePolicyNames})
+      .Bool("--no-verify", &o->verify, "skip result verification", false)
+      .Value("--fault-drop", "P", &o->fault_drop, "drop probability (implies --reliable)",
+             kProbability)
+      .Value("--fault-seed", "N", &o->fault_seed, "fault injector seed (default 42)",
+             Range<uint64_t>{})
+      .String("--json", "FILE", &o->json_out, "also write the results as hlrc-bench JSON")
+      .Value("--jobs", "N", &o->jobs, "worker threads (default 0 = hardware concurrency)",
+             Range<int>{0, kMaxJobs})
+      .Bool("--causal", &o->causal, "add the causal-span critical-path table (fig3)")
+      .Bool("--reliable", &o->reliable, "ack/retransmit delivery on a clean fabric")
+      .Bool("--coalesce", &o->coalesce, "coalesced wire plane")
+      .Value("--barrier-arity", "N", &o->barrier_arity,
+             "combining barrier tree of arity N (0 = flat)", Range<int>{0});
+  return flags;
+}
+
+// Defaults the app list and checks every machine the bench will build.
+std::string Finish(BenchOptions* o) {
+  if (o->apps.empty()) {
+    o->apps = AppNames();
+  }
+  for (ProtocolKind kind : o->protocols) {
+    for (int nodes : o->node_counts) {
+      if (std::string why = ValidateConfig(BaseConfig(*o, kind, nodes)); !why.empty()) {
+        return why;
+      }
     }
-    out.push_back(s.substr(start, end - start));
-    start = end + 1;
   }
-  return out;
-}
-
-ProtocolKind ParseProtocol(const std::string& s) {
-  if (s == "lrc") {
-    return ProtocolKind::kLrc;
-  }
-  if (s == "olrc") {
-    return ProtocolKind::kOlrc;
-  }
-  if (s == "hlrc") {
-    return ProtocolKind::kHlrc;
-  }
-  if (s == "ohlrc") {
-    return ProtocolKind::kOhlrc;
-  }
-  if (s == "erc") {
-    return ProtocolKind::kErc;
-  }
-  if (s == "aurc") {
-    return ProtocolKind::kAurc;
-  }
-  HLRC_CHECK_MSG(false, "unknown protocol '%s'", s.c_str());
-  return ProtocolKind::kLrc;
-}
-
-[[noreturn]] void Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--nodes=8,32,64] [--scale=tiny|default|paper]\n"
-               "          [--apps=lu,sor,water-nsq,water-sp,raytrace]\n"
-               "          [--protocols=lrc,olrc,hlrc,ohlrc] [--page-size=N]\n"
-               "          [--home=block|round-robin|single-node] [--no-verify]\n"
-               "          [--fault-drop=P] [--fault-seed=N] [--json=FILE] [--jobs=N]\n"
-               "          [--causal] [--reliable] [--coalesce] [--barrier-arity=N]\n",
-               argv0);
-  std::exit(2);
+  return "";
 }
 
 }  // namespace
 
+std::string ParseArgs(int argc, char** argv, BenchOptions* opts) {
+  const std::string err = MakeFlags(argv[0], opts).Parse(argc, argv);
+  return err.empty() ? Finish(opts) : err;
+}
+
 BenchOptions ParseArgs(int argc, char** argv) {
   BenchOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> std::string {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg.rfind("--nodes=", 0) == 0) {
-      opts.node_counts.clear();
-      for (const std::string& n : Split(value("--nodes="), ',')) {
-        opts.node_counts.push_back(std::atoi(n.c_str()));
-      }
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      const std::string v = value("--scale=");
-      if (v == "tiny") {
-        opts.scale = AppScale::kTiny;
-      } else if (v == "default") {
-        opts.scale = AppScale::kDefault;
-      } else if (v == "paper") {
-        opts.scale = AppScale::kPaper;
-      } else {
-        Usage(argv[0]);
-      }
-    } else if (arg.rfind("--apps=", 0) == 0) {
-      opts.apps = Split(value("--apps="), ',');
-    } else if (arg.rfind("--protocols=", 0) == 0) {
-      opts.protocols.clear();
-      for (const std::string& p : Split(value("--protocols="), ',')) {
-        opts.protocols.push_back(ParseProtocol(p));
-      }
-    } else if (arg.rfind("--page-size=", 0) == 0) {
-      opts.page_size = std::atoll(value("--page-size=").c_str());
-    } else if (arg.rfind("--home=", 0) == 0) {
-      const std::string v = value("--home=");
-      if (v == "block") {
-        opts.home_policy = HomePolicy::kBlock;
-      } else if (v == "round-robin") {
-        opts.home_policy = HomePolicy::kRoundRobin;
-      } else if (v == "single-node") {
-        opts.home_policy = HomePolicy::kSingleNode;
-      } else {
-        Usage(argv[0]);
-      }
-    } else if (arg.rfind("--fault-drop=", 0) == 0) {
-      opts.fault_drop = std::atof(value("--fault-drop=").c_str());
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      opts.fault_seed = static_cast<uint64_t>(
-          std::strtoull(value("--fault-seed=").c_str(), nullptr, 10));
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opts.json_out = value("--json=");
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      opts.jobs = std::atoi(value("--jobs=").c_str());
-    } else if (arg == "--causal") {
-      opts.causal = true;
-    } else if (arg == "--reliable") {
-      opts.reliable = true;
-    } else if (arg == "--coalesce") {
-      opts.coalesce = true;
-    } else if (arg.rfind("--barrier-arity=", 0) == 0) {
-      opts.barrier_arity = std::atoi(value("--barrier-arity=").c_str());
-    } else if (arg == "--no-verify") {
-      opts.verify = false;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage(argv[0]);
-    }
-  }
-  if (opts.apps.empty()) {
-    opts.apps = AppNames();
+  const FlagTable flags = MakeFlags(argv[0], &opts);
+  flags.ParseOrExit(argc, argv);
+  if (const std::string why = Finish(&opts); !why.empty()) {
+    flags.UsageError(why);
   }
   return opts;
 }
@@ -148,16 +89,8 @@ SimConfig BaseConfig(const BenchOptions& opts, ProtocolKind kind, int nodes) {
   if (opts.fault_drop > 0) {
     cfg.fault.drop_prob = opts.fault_drop;
     cfg.fault.seed = opts.fault_seed;
-    cfg.reliability.enabled = true;
   }
-  if (opts.reliable) {
-    cfg.reliability.enabled = true;
-  }
-  if (opts.coalesce) {
-    cfg.network.coalesce = true;
-    cfg.protocol.coalesce = true;
-    cfg.reliability.piggyback_acks = cfg.reliability.enabled;
-  }
+  ApplyDeliveryOptions(&cfg, opts.reliable || cfg.fault.Active(), opts.coalesce);
   cfg.protocol.barrier_arity = opts.barrier_arity;
   return cfg;
 }

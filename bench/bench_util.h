@@ -50,10 +50,13 @@ struct BenchOptions {
   bool causal = false;
 };
 
-// Parses --nodes=8,32,64 --scale=tiny|default|paper --apps=lu,sor
-// --protocols=lrc,hlrc --page-size=4096 --fault-drop=0.01 --fault-seed=7.
-// Unknown flags abort with usage.
+// Parses the shared bench flags (--nodes=8,32,64 --scale=tiny --apps=lu,sor
+// --protocols=lrc,hlrc ...; `BENCH --help` lists them) and validates the
+// machine of every (protocol, node count) point. --help/--version answer and
+// exit 0; bad input prints the reason and usage and exits 2.
 BenchOptions ParseArgs(int argc, char** argv);
+// The same parse without exiting: "" on success, else the reason.
+std::string ParseArgs(int argc, char** argv, BenchOptions* opts);
 
 SimConfig BaseConfig(const BenchOptions& opts, ProtocolKind kind, int nodes);
 

@@ -5,33 +5,28 @@
 //   check_throughput [--seeds=N] [--nodes=N] [--rounds=N]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "src/apps/litmus.h"
 #include "src/check/explorer.h"
 #include "src/common/check.h"
+#include "src/common/cli.h"
 
 namespace hlrc {
 namespace {
 
 int Main(int argc, char** argv) {
   int seeds = 50;
-  int nodes = 4;
-  int rounds = 3;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seeds=", 0) == 0) {
-      seeds = std::atoi(arg.c_str() + std::strlen("--seeds="));
-    } else if (arg.rfind("--nodes=", 0) == 0) {
-      nodes = std::atoi(arg.c_str() + std::strlen("--nodes="));
-    } else if (arg.rfind("--rounds=", 0) == 0) {
-      rounds = std::atoi(arg.c_str() + std::strlen("--rounds="));
-    } else {
-      std::fprintf(stderr, "usage: check_throughput [--seeds=N] [--nodes=N] [--rounds=N]\n");
-      return 2;
-    }
+  CheckConfig base;  // --nodes and --rounds bind here (defaults 4 and 3).
+  FlagTable flags(ToolInfo{"check_throughput",
+                           "Wall-clock throughput of the schedule-exploration checker:\n"
+                           "seeds/second per (litmus, protocol) pair."});
+  flags.Value("--seeds", "N", &seeds, "seeds per pair (default 50)", Range<int>{1})
+      .Value("--nodes", "N", &base.nodes, "node count (default 4)", Range<int>{2, kMaxNodes})
+      .Value("--rounds", "N", &base.rounds, "litmus rounds (default 3)", Range<int>{1});
+  flags.ParseOrExit(argc, argv);
+  if (const std::string why = ValidateConfig(ToSimConfig(base)); !why.empty()) {
+    flags.UsageError(why);
   }
 
   const ProtocolKind kProtocols[] = {ProtocolKind::kLrc, ProtocolKind::kErc,
@@ -41,11 +36,9 @@ int Main(int argc, char** argv) {
   double total_seeds = 0, total_secs = 0;
   for (const std::string& litmus : LitmusNames()) {
     for (ProtocolKind protocol : kProtocols) {
-      CheckConfig cfg;
+      CheckConfig cfg = base;
       cfg.litmus = litmus;
       cfg.protocol = protocol;
-      cfg.nodes = nodes;
-      cfg.rounds = rounds;
       int64_t reads = 0, events = 0;
       const auto start = std::chrono::steady_clock::now();
       for (int s = 0; s < seeds; ++s) {

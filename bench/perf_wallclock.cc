@@ -42,6 +42,7 @@
 #include "bench/bench_util.h"
 #include "src/apps/app.h"
 #include "src/common/check.h"
+#include "src/common/cli.h"
 #include "src/common/rng.h"
 #include "src/mem/diff.h"
 #include "src/proto/interval_log.h"
@@ -835,17 +836,11 @@ void BenchCoalesce(bool quick, BenchJson* json) {
 int Main(int argc, char** argv) {
   bool quick = false;
   std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_out = arg.substr(std::strlen("--json="));
-    } else {
-      std::fprintf(stderr, "usage: perf_wallclock [--quick] [--json=FILE]\n");
-      return 2;
-    }
-  }
+  FlagTable flags(ToolInfo{"perf_wallclock",
+                           "Simulator fast-path throughput against in-binary baselines."});
+  flags.Bool("--quick", &quick, "smaller problems (CI smoke)")
+      .String("--json", "FILE", &json_out, "also write the results as hlrc-bench JSON");
+  flags.ParseOrExit(argc, argv);
 
   std::printf("=== perf_wallclock: simulator fast-path throughput (%s) ===\n",
               quick ? "quick" : "full");

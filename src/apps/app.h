@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/names.h"
 #include "src/svm/system.h"
 
 namespace hlrc {
@@ -46,6 +47,11 @@ enum class AppScale {
   kDefault,  // Benchmark default (scaled-down paper problem).
   kPaper,    // The paper's problem size (slow to simulate).
 };
+inline constexpr EnumName<AppScale> kAppScaleNames[] = {
+    {AppScale::kTiny, "tiny"},
+    {AppScale::kDefault, "default"},
+    {AppScale::kPaper, "paper"},
+};
 
 // Factory by name: "lu", "sor", "water-nsq", "water-sp", "raytrace", "fft",
 // plus any extension registered with AppRegistrar (e.g. the synthetic
@@ -61,8 +67,12 @@ std::unique_ptr<App> MakeApp(const std::string& name, AppScale scale,
 std::unique_ptr<App> TryMakeApp(const std::string& name, AppScale scale,
                                 std::optional<uint64_t> seed = std::nullopt);
 
-// Ends the process with exit status 2, after printing App::Validate's reason
-// to stderr, if `app` cannot run under `config`: bad input, not a failed run.
+// Why `app` cannot run under `config` — ValidateConfig, then App::Validate —
+// or empty when it can.
+std::string ValidateRun(const App& app, const SimConfig& config);
+
+// Ends the process with exit status 2, after printing ValidateRun's reason
+// to stderr, if there is one: bad input, not a failed run.
 // Flushes stdout and runs no destructors, so it is safe on a worker thread.
 void ExitIfInvalid(const App& app, const SimConfig& config);
 

@@ -68,8 +68,13 @@ std::unique_ptr<App> MakeApp(const std::string& name, AppScale scale,
   return app;
 }
 
+std::string ValidateRun(const App& app, const SimConfig& config) {
+  std::string why = ValidateConfig(config);
+  return why.empty() ? app.Validate(config) : why;
+}
+
 void ExitIfInvalid(const App& app, const SimConfig& config) {
-  if (const std::string why = app.Validate(config); !why.empty()) {
+  if (const std::string why = ValidateRun(app, config); !why.empty()) {
     std::fprintf(stderr, "%s\n", why.c_str());
     std::fflush(stdout);
     std::_Exit(2);

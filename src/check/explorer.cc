@@ -62,7 +62,7 @@ class Chaos {
 
 }  // namespace
 
-CheckResult RunOne(const CheckConfig& config) {
+SimConfig ToSimConfig(const CheckConfig& config) {
   SimConfig sim;
   sim.nodes = config.nodes;
   sim.page_size = config.page_size;
@@ -77,12 +77,13 @@ CheckResult RunOne(const CheckConfig& config) {
     sim.fault.seed = Rng(config.seed).NextU64();
   }
   sim.reliability = config.reliability;
-  if (config.coalesce) {
-    sim.network.coalesce = true;
-    sim.protocol.coalesce = true;
-    sim.reliability.piggyback_acks = sim.reliability.enabled;
-  }
+  ApplyDeliveryOptions(&sim, config.reliability.enabled, config.coalesce);
   sim.protocol.barrier_arity = config.barrier_arity;
+  return sim;
+}
+
+CheckResult RunOne(const CheckConfig& config) {
+  const SimConfig sim = ToSimConfig(config);
 
   LitmusConfig lcfg;
   lcfg.nodes = config.nodes;

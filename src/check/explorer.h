@@ -33,6 +33,7 @@
 #include "src/fault/fault_plan.h"
 #include "src/net/reliable_channel.h"
 #include "src/proto/options.h"
+#include "src/svm/config.h"
 
 namespace hlrc {
 
@@ -90,6 +91,10 @@ struct CheckResult {
   SimTime sim_time = 0;
   int64_t events = 0;
 };
+
+// The machine RunOne simulates for `config` (front ends pass it to
+// ValidateConfig once, before a sweep).
+SimConfig ToSimConfig(const CheckConfig& config);
 
 // Runs one (litmus, protocol, seed) execution under the oracle.
 CheckResult RunOne(const CheckConfig& config);

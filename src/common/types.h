@@ -12,6 +12,8 @@ using SimTime = int64_t;
 
 constexpr SimTime Nanos(int64_t n) { return n; }
 constexpr SimTime Micros(int64_t us) { return us * 1000; }
+// Largest microsecond count Micros converts without overflow (flag bound).
+constexpr int64_t kMaxMicros = INT64_MAX / 1000;
 constexpr SimTime Millis(int64_t ms) { return ms * 1000 * 1000; }
 constexpr SimTime Seconds(int64_t s) { return s * 1000 * 1000 * 1000; }
 

@@ -191,10 +191,9 @@ void MutateAccessResize(WorkloadGenome* g, Rng* rng) {
   ClampRange(&r, g->shared_bytes);
 }
 
-}  // namespace
-
-WorkloadGenome SeedWorkload(wkld::SynthPattern pattern, int nodes, int64_t page_size,
-                            int64_t shared_bytes, uint64_t seed) {
+// The synthetic workload a seed genome of `pattern` is generated from.
+wkld::SynthConfig SeedShape(wkld::SynthPattern pattern, int nodes, int64_t page_size,
+                            int64_t shared_bytes) {
   wkld::SynthConfig cfg;
   cfg.pattern = pattern;
   cfg.nodes = nodes;
@@ -203,6 +202,23 @@ WorkloadGenome SeedWorkload(wkld::SynthPattern pattern, int nodes, int64_t page_
   cfg.pages_per_node = 2;
   cfg.iterations = 2;
   cfg.ops_per_iter = 4;
+  return cfg;
+}
+
+}  // namespace
+
+std::string ValidateSeedMachine(int nodes, int64_t page_size, int64_t shared_bytes) {
+  std::string why;
+  for (size_t p = 0; p < wkld::SynthPatternNames().size() && why.empty(); ++p) {
+    why = wkld::ValidateSynthConfig(
+        SeedShape(static_cast<wkld::SynthPattern>(p), nodes, page_size, shared_bytes));
+  }
+  return why;
+}
+
+WorkloadGenome SeedWorkload(wkld::SynthPattern pattern, int nodes, int64_t page_size,
+                            int64_t shared_bytes, uint64_t seed) {
+  wkld::SynthConfig cfg = SeedShape(pattern, nodes, page_size, shared_bytes);
   cfg.seed = seed;
   wkld::VectorSink sink(nodes);
   wkld::GenerateSynthetic(cfg, &sink);

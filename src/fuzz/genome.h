@@ -60,6 +60,10 @@ struct FuzzInput {
 WorkloadGenome SeedWorkload(wkld::SynthPattern pattern, int nodes, int64_t page_size,
                             int64_t shared_bytes, uint64_t seed);
 
+// Why SeedWorkload cannot seed every synthetic pattern on this machine
+// (wkld::ValidateSynthConfig), or "". Front ends check it before a session.
+std::string ValidateSeedMachine(int nodes, int64_t page_size, int64_t shared_bytes);
+
 // Applies 1-3 randomly chosen workload mutation operators:
 // splice / truncate (non-sync record runs), retarget-page (shift an access
 // range by whole pages), permute-locks (global lock-id remap), flip-intent

@@ -1,5 +1,6 @@
 #include "src/fuzz/repro.h"
 
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -13,34 +14,13 @@ using wkld::Record;
 
 constexpr const char* kMagic = "hlrc-svmfuzz-repro v1";
 
-bool ParseProtocolName(const std::string& s, ProtocolKind* out) {
-  for (int k = 0; k <= static_cast<int>(ProtocolKind::kAurc); ++k) {
-    if (s == ProtocolName(static_cast<ProtocolKind>(k))) {
-      *out = static_cast<ProtocolKind>(k);
-      return true;
-    }
+// Repro files spell protocols by display name ("HLRC"); the shared name
+// table holds the lowercase flag spelling.
+std::string Lower(std::string s) {
+  for (char& c : s) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
-  return false;
-}
-
-bool ParseMutationName(const std::string& s, TestMutation* out) {
-  for (int m = 0; m <= static_cast<int>(TestMutation::kLrcSkipInvalidate); ++m) {
-    if (s == TestMutationName(static_cast<TestMutation>(m))) {
-      *out = static_cast<TestMutation>(m);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ParseHomePolicyName(const std::string& s, HomePolicy* out) {
-  for (int p = 0; p <= static_cast<int>(HomePolicy::kSingleNode); ++p) {
-    if (s == HomePolicyName(static_cast<HomePolicy>(p))) {
-      *out = static_cast<HomePolicy>(p);
-      return true;
-    }
-  }
-  return false;
+  return s;
 }
 
 bool Fail(std::string* error, const std::string& why) {
@@ -167,17 +147,17 @@ bool ParseRepro(const std::string& text, ReproFile* out, std::string* error) {
       break;
     } else if (key == "protocol") {
       std::string v;
-      if (!(ls >> v) || !ParseProtocolName(v, &c.protocol)) {
+      if (!(ls >> v) || !ParseName(kProtocolNames, Lower(v), &c.protocol)) {
         return Fail(error, "unknown protocol on line " + std::to_string(lineno));
       }
     } else if (key == "mutation") {
       std::string v;
-      if (!(ls >> v) || !ParseMutationName(v, &c.mutation)) {
+      if (!(ls >> v) || !ParseName(kTestMutationNames, v, &c.mutation)) {
         return Fail(error, "unknown mutation on line " + std::to_string(lineno));
       }
     } else if (key == "home-policy") {
       std::string v;
-      if (!(ls >> v) || !ParseHomePolicyName(v, &c.home_policy)) {
+      if (!(ls >> v) || !ParseName(kHomePolicyNames, v, &c.home_policy)) {
         return Fail(error, "unknown home policy on line " + std::to_string(lineno));
       }
     } else if (key == "migrate-homes") {
@@ -219,7 +199,7 @@ bool ParseRepro(const std::string& text, ReproFile* out, std::string* error) {
       out->cross.resize(n);
       for (size_t i = 0; i < n; ++i) {
         std::string v;
-        if (!(ls >> v) || !ParseProtocolName(v, &out->cross[i])) return bad();
+        if (!(ls >> v) || !ParseName(kProtocolNames, Lower(v), &out->cross[i])) return bad();
       }
     } else if (key == "violation") {
       std::getline(ls, out->violation);

@@ -313,4 +313,32 @@ bool ValidateRunSummary(const JsonValue& root, std::string* err) {
   return ValidateHotPages(*hot, err);
 }
 
+bool LoadRunSummary(const std::string& path, JsonValue* out, std::string* err) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    *err = "cannot open " + path;
+    return false;
+  }
+  std::string text;
+  char buf[1 << 16];
+  for (size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    text.append(buf, n);
+  }
+  const bool read_ok = std::ferror(f) == 0;
+  std::fclose(f);
+  if (!read_ok) {
+    *err = "read error on " + path;
+    return false;
+  }
+  if (!ParseJson(text, out, err)) {
+    *err = path + ": JSON parse error: " + *err;
+    return false;
+  }
+  if (!ValidateRunSummary(*out, err)) {
+    *err = path + ": schema violation: " + *err;
+    return false;
+  }
+  return true;
+}
+
 }  // namespace hlrc

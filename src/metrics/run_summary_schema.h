@@ -22,6 +22,11 @@ inline constexpr int kRunSummarySchemaVersion = 1;
 // declared series. On failure fills `*err` with the first violation.
 bool ValidateRunSummary(const JsonValue& root, std::string* err);
 
+// Reads, parses and validates the run summary at `path` (the analyzers'
+// shared loader). On failure fills `err` with "cannot open PATH", "read error
+// on PATH", "PATH: JSON parse error: ..." or "PATH: schema violation: ...".
+bool LoadRunSummary(const std::string& path, JsonValue* out, std::string* err);
+
 }  // namespace hlrc
 
 #endif  // SRC_METRICS_RUN_SUMMARY_SCHEMA_H_

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "src/common/names.h"
 #include "src/common/types.h"
 
 namespace hlrc {
@@ -27,7 +28,13 @@ constexpr bool IsHomeBased(ProtocolKind k) {
 constexpr bool IsOverlapped(ProtocolKind k) {
   return k == ProtocolKind::kOlrc || k == ProtocolKind::kOhlrc;
 }
+// Display name ("HLRC") for reports; kProtocolNames holds the flag spelling.
 const char* ProtocolName(ProtocolKind k);
+inline constexpr EnumName<ProtocolKind> kProtocolNames[] = {
+    {ProtocolKind::kLrc, "lrc"},     {ProtocolKind::kOlrc, "olrc"},
+    {ProtocolKind::kHlrc, "hlrc"},   {ProtocolKind::kOhlrc, "ohlrc"},
+    {ProtocolKind::kErc, "erc"},     {ProtocolKind::kAurc, "aurc"},
+};
 
 // How pages are assigned to homes (home-based protocols only).
 enum class HomePolicy : int {
@@ -36,7 +43,12 @@ enum class HomePolicy : int {
   kRoundRobin = 1,  // Page p lives on node p mod N.
   kSingleNode = 2,  // All homes on node 0 (worst case, for ablations).
 };
-const char* HomePolicyName(HomePolicy p);
+inline constexpr EnumName<HomePolicy> kHomePolicyNames[] = {
+    {HomePolicy::kBlock, "block"},
+    {HomePolicy::kRoundRobin, "round-robin"},
+    {HomePolicy::kSingleNode, "single-node"},
+};
+inline const char* HomePolicyName(HomePolicy p) { return NameOf(kHomePolicyNames, p); }
 
 // When the homeless protocols create diffs (paper §2.1: "eagerly, at the end
 // of each interval, or lazily, on demand").
@@ -46,7 +58,11 @@ enum class DiffPolicy : int {
                // ever fetches, at the cost of doing the work on the request
                // path.
 };
-const char* DiffPolicyName(DiffPolicy p);
+inline constexpr EnumName<DiffPolicy> kDiffPolicyNames[] = {
+    {DiffPolicy::kEager, "eager"},
+    {DiffPolicy::kLazy, "lazy"},
+};
+inline const char* DiffPolicyName(DiffPolicy p) { return NameOf(kDiffPolicyNames, p); }
 
 // Intentionally-broken protocol variants, used ONLY by the checker's
 // mutation regression tests (tests/test_check.cc, svmcheck --mutation) to
@@ -63,7 +79,12 @@ enum class TestMutation : int {
   // dropped, so the node keeps reading its stale copy (lost invalidation).
   kLrcSkipInvalidate = 2,
 };
-const char* TestMutationName(TestMutation m);
+inline constexpr EnumName<TestMutation> kTestMutationNames[] = {
+    {TestMutation::kNone, "none"},
+    {TestMutation::kHlrcSkipDiffApply, "hlrc-skip-diff-apply"},
+    {TestMutation::kLrcSkipInvalidate, "lrc-skip-invalidate"},
+};
+inline const char* TestMutationName(TestMutation m) { return NameOf(kTestMutationNames, m); }
 
 struct ProtocolOptions {
   ProtocolKind kind = ProtocolKind::kHlrc;

@@ -26,40 +26,6 @@ const char* ProtocolName(ProtocolKind k) {
   return "?";
 }
 
-const char* DiffPolicyName(DiffPolicy p) {
-  switch (p) {
-    case DiffPolicy::kEager:
-      return "eager";
-    case DiffPolicy::kLazy:
-      return "lazy";
-  }
-  return "?";
-}
-
-const char* HomePolicyName(HomePolicy p) {
-  switch (p) {
-    case HomePolicy::kBlock:
-      return "block";
-    case HomePolicy::kRoundRobin:
-      return "round-robin";
-    case HomePolicy::kSingleNode:
-      return "single-node";
-  }
-  return "?";
-}
-
-const char* TestMutationName(TestMutation m) {
-  switch (m) {
-    case TestMutation::kNone:
-      return "none";
-    case TestMutation::kHlrcSkipDiffApply:
-      return "hlrc-skip-diff-apply";
-    case TestMutation::kLrcSkipInvalidate:
-      return "lrc-skip-invalidate";
-  }
-  return "?";
-}
-
 ProtocolNode::ProtocolNode(const Env& env)
     : vt_(env.nodes),
       interval_log_(env.nodes),

@@ -19,6 +19,9 @@
 
 namespace hlrc {
 
+// Largest --jobs the front ends accept (0 = hardware concurrency).
+inline constexpr int kMaxJobs = 1024;
+
 // Worker threads actually used for `tasks` tasks when the user asked for
 // `requested` jobs: 0 (or negative) means hardware concurrency; the result is
 // clamped to [1, tasks].

@@ -3,6 +3,7 @@
 #define SRC_SVM_CONFIG_H_
 
 #include <cstdint>
+#include <string>
 
 #include "src/common/types.h"
 #include "src/fault/fault_plan.h"
@@ -12,6 +13,9 @@
 #include "src/proto/options.h"
 
 namespace hlrc {
+
+// Largest machine the front ends and ValidateConfig accept.
+inline constexpr int kMaxNodes = 1024;
 
 struct SimConfig {
   int nodes = 8;
@@ -34,6 +38,17 @@ struct SimConfig {
   FaultPlan fault;
   ReliabilityConfig reliability;
 };
+
+// Why `config` cannot be simulated, naming the field; empty when it can. It
+// states each check System and its layers make on user-reachable values, so
+// front ends reject bad input before any System is built (ExitIfInvalid).
+std::string ValidateConfig(const SimConfig& config);
+
+// The delivery switches every front end derives the same way: `reliable`
+// turns on ack/retransmit delivery (pass it for an active fault plan: a lost
+// frame deadlocks the protocols otherwise); `coalesce` turns on frame packing,
+// request combining and, once acks exist, ack piggybacking.
+void ApplyDeliveryOptions(SimConfig* config, bool reliable, bool coalesce);
 
 }  // namespace hlrc
 

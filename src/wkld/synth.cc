@@ -351,6 +351,22 @@ bool ParseSynthPattern(const std::string& name, SynthPattern* pattern) {
   return false;
 }
 
+std::string ValidateSynthConfig(const SynthConfig& cfg) {
+  if (cfg.nodes <= 0 || cfg.pages_per_node <= 0 || cfg.iterations < 0) {
+    return "synthetic workloads need nodes and pages_per_node >= 1, iterations >= 0";
+  }
+  if (cfg.page_size < 256 || cfg.page_size % 16 != 0) {
+    return "synthetic workloads need page_size >= 256, a multiple of 16";
+  }
+  if (cfg.pattern == SynthPattern::kFalseSharing && cfg.page_size / cfg.nodes < 16) {
+    return "false-sharing needs page_size/nodes >= 16";
+  }
+  if (cfg.shared_bytes / cfg.page_size / cfg.nodes < cfg.pages_per_node) {
+    return "synthetic arena (nodes * pages_per_node * page_size) exceeds shared_bytes";
+  }
+  return "";
+}
+
 void GenerateSynthetic(const SynthConfig& cfg, WorkloadSink* sink) {
   HLRC_CHECK(cfg.nodes > 0 && cfg.pages_per_node > 0 && cfg.iterations >= 0);
   HLRC_CHECK(cfg.page_size >= 256 && cfg.page_size % 16 == 0);

@@ -60,6 +60,11 @@ struct SynthConfig {
   uint64_t seed = 42;
 };
 
+// Why the generator cannot produce a replayable trace for `cfg` (counts out
+// of range, pages under 256 B or not a multiple of 16, a false-sharing slice
+// under 16 B, an arena larger than shared_bytes), or empty when it can.
+std::string ValidateSynthConfig(const SynthConfig& cfg);
+
 // Emits the workload for `cfg` into `sink`: one arena allocation followed
 // by one record stream per node (terminated by kEnd).
 void GenerateSynthetic(const SynthConfig& cfg, WorkloadSink* sink);

@@ -12,259 +12,20 @@
 //   svmcheck --mutation=hlrc-skip-diff-apply  # prove the oracle has teeth
 //   svmcheck --replay-seed=17 --limit=42 --litmus=lock-handoff --protocols=lrc
 //
-// Flags:
-//   --litmus=LIST         comma-separated litmus names, or "all" (default)
-//   --protocols=LIST      lrc | olrc | hlrc | ohlrc | erc | aurc, or "all"
-//                         (default: the four evaluated families
-//                         lrc,erc,hlrc,aurc)
-//   --seeds=N             seeds per (litmus, protocol) pair (default 100)
-//   --seed=N              first seed of the sweep (default 1)
-//   --jobs=N              worker threads per sweep (default: hardware
-//                         concurrency; each seed runs its own System, and the
-//                         report is byte-identical to --jobs=1)
-//   --nodes=N             node count (default 4)
-//   --rounds=N            litmus rounds (default 3)
-//   --page-size=BYTES     SVM page size (default 512)
-//   --max-jitter-us=N     max per-message delivery jitter (default 150; 0 off)
-//   --no-permute          disable the same-time event permutation
-//   --mutation=NAME       none | hlrc-skip-diff-apply | lrc-skip-invalidate
-//   --fault-drop=P        compose with fault injection: drop probability
-//                         (enables the reliable channel automatically)
-//   --coalesce            coalesced wire plane (frame packing, request
-//                         combining; piggybacked acks with --fault-drop)
-//   --barrier-arity=N     combining barrier tree of arity N (0 = flat)
-//   --stop-on-failure     stop a sweep at its first failing seed
-//   --replay-seed=N       run exactly one seed and print its chaos decision
-//                         trace (scheduler decisions — neither an execution
-//                         trace nor a workload trace)
-//   --limit=N             decision limit for --replay-seed (default: unlimited)
-//   --list                print litmus and protocol names
+// `svmcheck --help` lists the flags (declared in tools/tool_flags.cc).
 //
-// Exit status: 0 if every run satisfied the oracle, 1 otherwise.
+// Exit status: 0 if every run satisfied the oracle, 1 otherwise, 2 on bad
+// input.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "src/apps/litmus.h"
-#include "src/check/explorer.h"
-#include "src/common/cli.h"
 #include "src/sim/sweep.h"
+#include "tools/tool_flags.h"
 
 namespace hlrc {
 namespace {
-
-struct Options {
-  std::vector<std::string> litmus;
-  std::vector<ProtocolKind> protocols;
-  int seeds = 100;
-  uint64_t first_seed = 1;
-  int jobs = 0;  // 0 = hardware concurrency.
-  int nodes = 4;
-  int rounds = 3;
-  int64_t page_size = 512;
-  SimTime max_jitter = Micros(150);
-  bool permute = true;
-  TestMutation mutation = TestMutation::kNone;
-  double fault_drop = 0.0;
-  bool coalesce = false;
-  int barrier_arity = 0;
-  bool stop_on_failure = false;
-  bool replay = false;
-  uint64_t replay_seed = 0;
-  bool limit_set = false;
-  uint64_t limit = std::numeric_limits<uint64_t>::max();
-};
-
-const ToolInfo kTool = {
-    "svmcheck",
-    "Sweeps seeded schedule perturbations of the litmus programs under the\n"
-    "selected protocols, validating every shared read against the LRC\n"
-    "oracle; failing schedules are minimized to a replayable\n"
-    "(seed, decision-limit) pair.",
-    "  --litmus=LIST         comma-separated litmus names, or \"all\" (default)\n"
-    "  --protocols=LIST      lrc | olrc | hlrc | ohlrc | erc | aurc, or \"all\"\n"
-    "                        (default: lrc,erc,hlrc,aurc)\n"
-    "  --seeds=N             seeds per (litmus, protocol) pair (default 100)\n"
-    "  --seed=N              first seed of the sweep (default 1)\n"
-    "  --jobs=N              worker threads per sweep (default: hardware\n"
-    "                        concurrency; report is --jobs independent)\n"
-    "  --nodes=N             node count (default 4)\n"
-    "  --rounds=N            litmus rounds (default 3)\n"
-    "  --page-size=BYTES     SVM page size (default 512)\n"
-    "  --max-jitter-us=N     max per-message delivery jitter (default 150)\n"
-    "  --no-permute          disable the same-time event permutation\n"
-    "  --mutation=NAME       none | hlrc-skip-diff-apply | lrc-skip-invalidate\n"
-    "  --fault-drop=P        compose with fault injection: drop probability\n"
-    "  --coalesce            coalesced wire plane (frame packing, request\n"
-    "                        combining; piggybacked acks with --fault-drop)\n"
-    "  --barrier-arity=N     combining barrier tree of arity N (0 = flat)\n"
-    "  --stop-on-failure     stop a sweep at its first failing seed\n"
-    "  --replay-seed=N       run exactly one seed (requires --limit)\n"
-    "  --limit=N             decision limit for --replay-seed\n"
-    "  --list                print litmus, protocol and mutation names\n",
-};
-
-const char* ProtocolFlag(ProtocolKind k) {
-  switch (k) {
-    case ProtocolKind::kLrc: return "lrc";
-    case ProtocolKind::kOlrc: return "olrc";
-    case ProtocolKind::kHlrc: return "hlrc";
-    case ProtocolKind::kOhlrc: return "ohlrc";
-    case ProtocolKind::kErc: return "erc";
-    case ProtocolKind::kAurc: return "aurc";
-  }
-  return "?";
-}
-
-ProtocolKind ParseProtocol(const std::string& s) {
-  if (s == "lrc") return ProtocolKind::kLrc;
-  if (s == "olrc") return ProtocolKind::kOlrc;
-  if (s == "hlrc") return ProtocolKind::kHlrc;
-  if (s == "ohlrc") return ProtocolKind::kOhlrc;
-  if (s == "erc") return ProtocolKind::kErc;
-  if (s == "aurc") return ProtocolKind::kAurc;
-  UsageError(kTool, "unknown protocol '" + s + "'");
-}
-
-TestMutation ParseMutation(const std::string& s) {
-  if (s == "none") return TestMutation::kNone;
-  if (s == "hlrc-skip-diff-apply") return TestMutation::kHlrcSkipDiffApply;
-  if (s == "lrc-skip-invalidate") return TestMutation::kLrcSkipInvalidate;
-  UsageError(kTool, "unknown mutation '" + s + "'");
-}
-
-std::vector<std::string> SplitList(const std::string& s) {
-  std::vector<std::string> out;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    const size_t comma = s.find(',', pos);
-    const size_t end = comma == std::string::npos ? s.size() : comma;
-    if (end > pos) {
-      out.push_back(s.substr(pos, end - pos));
-    }
-    pos = end + 1;
-  }
-  return out;
-}
-
-Options Parse(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto val = [&](const char* p) { return arg.substr(std::strlen(p)); };
-    if (arg == "--list") {
-      std::printf("litmus tests:");
-      for (const std::string& l : LitmusNames()) {
-        std::printf(" %s", l.c_str());
-      }
-      std::printf("\nprotocols: lrc olrc hlrc ohlrc erc aurc\n");
-      std::printf("mutations: none hlrc-skip-diff-apply lrc-skip-invalidate\n");
-      std::exit(0);
-    } else if (arg.rfind("--litmus=", 0) == 0) {
-      const std::string s = val("--litmus=");
-      o.litmus = s == "all" ? LitmusNames() : SplitList(s);
-    } else if (arg.rfind("--protocols=", 0) == 0) {
-      const std::string s = val("--protocols=");
-      for (const std::string& p :
-           SplitList(s == "all" ? "lrc,olrc,hlrc,ohlrc,erc,aurc" : s)) {
-        o.protocols.push_back(ParseProtocol(p));
-      }
-    } else if (arg.rfind("--seeds=", 0) == 0) {
-      o.seeds = std::atoi(val("--seeds=").c_str());
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      o.first_seed = std::strtoull(val("--seed=").c_str(), nullptr, 10);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      o.jobs = std::atoi(val("--jobs=").c_str());
-    } else if (arg.rfind("--nodes=", 0) == 0) {
-      o.nodes = std::atoi(val("--nodes=").c_str());
-    } else if (arg.rfind("--rounds=", 0) == 0) {
-      o.rounds = std::atoi(val("--rounds=").c_str());
-    } else if (arg.rfind("--page-size=", 0) == 0) {
-      o.page_size = std::atoll(val("--page-size=").c_str());
-    } else if (arg.rfind("--max-jitter-us=", 0) == 0) {
-      o.max_jitter = Micros(std::atoll(val("--max-jitter-us=").c_str()));
-    } else if (arg == "--no-permute") {
-      o.permute = false;
-    } else if (arg.rfind("--mutation=", 0) == 0) {
-      o.mutation = ParseMutation(val("--mutation="));
-    } else if (arg.rfind("--fault-drop=", 0) == 0) {
-      o.fault_drop = std::atof(val("--fault-drop=").c_str());
-    } else if (arg == "--coalesce") {
-      o.coalesce = true;
-    } else if (arg.rfind("--barrier-arity=", 0) == 0) {
-      o.barrier_arity = std::atoi(val("--barrier-arity=").c_str());
-      if (o.barrier_arity < 0) {
-        UsageError(kTool, "--barrier-arity must be >= 0");
-      }
-    } else if (arg == "--stop-on-failure") {
-      o.stop_on_failure = true;
-    } else if (arg.rfind("--replay-seed=", 0) == 0) {
-      o.replay = true;
-      o.replay_seed = std::strtoull(val("--replay-seed=").c_str(), nullptr, 10);
-    } else if (arg.rfind("--limit=", 0) == 0) {
-      o.limit = std::strtoull(val("--limit=").c_str(), nullptr, 10);
-      o.limit_set = true;
-    } else if (!HandleCommonFlag(kTool, arg)) {
-      UsageError(kTool, "unknown flag: " + arg);
-    }
-  }
-  // --replay-seed and --limit only make sense as a pair: a replay without a
-  // decision limit is not the minimized schedule svmcheck printed, and a
-  // limit without a replay seed would silently run a full sweep.
-  if (o.replay && !o.limit_set) {
-    UsageError(kTool, "--replay-seed requires --limit");
-  }
-  if (o.limit_set && !o.replay) {
-    UsageError(kTool, "--limit requires --replay-seed");
-  }
-  if (o.litmus.empty()) {
-    o.litmus = LitmusNames();
-  }
-  // Validate names up front: a typo should list the alternatives, not abort
-  // mid-sweep inside MakeLitmus.
-  for (const std::string& name : o.litmus) {
-    bool known = false;
-    for (const std::string& l : LitmusNames()) {
-      known = known || l == name;
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown litmus '%s'; known litmus tests:", name.c_str());
-      for (const std::string& l : LitmusNames()) {
-        std::fprintf(stderr, " %s", l.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
-  }
-  if (o.protocols.empty()) {
-    o.protocols = {ProtocolKind::kLrc, ProtocolKind::kErc, ProtocolKind::kHlrc,
-                   ProtocolKind::kAurc};
-  }
-  return o;
-}
-
-CheckConfig BaseConfig(const Options& o, const std::string& litmus, ProtocolKind protocol) {
-  CheckConfig cfg;
-  cfg.litmus = litmus;
-  cfg.protocol = protocol;
-  cfg.nodes = o.nodes;
-  cfg.rounds = o.rounds;
-  cfg.page_size = o.page_size;
-  cfg.permute_tasks = o.permute;
-  cfg.max_jitter = o.max_jitter;
-  cfg.mutation = o.mutation;
-  if (o.fault_drop > 0) {
-    cfg.fault.drop_prob = o.fault_drop;
-    cfg.reliability.enabled = true;
-  }
-  cfg.coalesce = o.coalesce;
-  cfg.barrier_arity = o.barrier_arity;
-  return cfg;
-}
 
 void PrintViolations(const CheckResult& r) {
   for (const OracleViolation& v : r.violations) {
@@ -291,11 +52,11 @@ void PrintTrace(const CheckResult& r, uint64_t limit) {
   std::printf("\n");
 }
 
-int Replay(const Options& o) {
+int Replay(const CheckOptions& o) {
   int rc = 0;
   for (const std::string& litmus : o.litmus) {
     for (ProtocolKind protocol : o.protocols) {
-      CheckConfig cfg = BaseConfig(o, litmus, protocol);
+      CheckConfig cfg = MakeCheckConfig(o, litmus, protocol);
       cfg.seed = o.replay_seed;
       cfg.decision_limit = o.limit;
       const CheckResult r = RunOne(cfg);
@@ -317,19 +78,26 @@ int Replay(const Options& o) {
 }
 
 int Main(int argc, char** argv) {
-  const Options o = Parse(argc, argv);
+  CheckOptions o;
+  FlagTable flags(kCheckTool);
+  AddCheckFlags(&flags, &o);
+  flags.ParseOrExit(argc, argv);
+  if (const std::string why = FinishCheckOptions(&o); !why.empty()) {
+    flags.UsageError(why);
+  }
   if (o.replay) {
     return Replay(o);
   }
 
   const int jobs = EffectiveJobs(o.jobs, o.seeds);
+  const bool mutated = o.base.mutation != TestMutation::kNone;
   std::printf("svmcheck: %d seeds per pair, %d nodes, %d rounds, mutation=%s\n", o.seeds,
-              o.nodes, o.rounds, TestMutationName(o.mutation));
+              o.base.nodes, o.base.rounds, TestMutationName(o.base.mutation));
   int total_failures = 0;
   int64_t total_reads = 0;
   for (const std::string& litmus : o.litmus) {
     for (ProtocolKind protocol : o.protocols) {
-      const CheckConfig base = BaseConfig(o, litmus, protocol);
+      const CheckConfig base = MakeCheckConfig(o, litmus, protocol);
       // Materialize the per-seed results, then aggregate and print with a
       // sequential scan in seed order — the report is byte-identical at any
       // job count. With --stop-on-failure on one job, the historical
@@ -377,9 +145,9 @@ int Main(int argc, char** argv) {
                         "--litmus=%s --protocols=%s --nodes=%d --rounds=%d%s%s\n",
                         static_cast<unsigned long long>(s),
                         static_cast<unsigned long long>(min.config.decision_limit),
-                        litmus.c_str(), ProtocolFlag(protocol), o.nodes, o.rounds,
-                        o.mutation != TestMutation::kNone ? " --mutation=" : "",
-                        o.mutation != TestMutation::kNone ? TestMutationName(o.mutation) : "");
+                        litmus.c_str(), NameOf(kProtocolNames, protocol), o.base.nodes,
+                        o.base.rounds, mutated ? " --mutation=" : "",
+                        mutated ? TestMutationName(o.base.mutation) : "");
             PrintTrace(min.result, min.config.decision_limit);
             PrintViolations(min.result);
           }

@@ -16,11 +16,8 @@
 // Exit status: 0 clean session (or reproducer confirmed), 1 violation or
 // divergence found (or reproducer did not reproduce), 2 bad invocation.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
-#include <vector>
 
 #include "src/common/cli.h"
 #include "src/fuzz/fuzzer.h"
@@ -35,63 +32,7 @@ const ToolInfo kTool = {
     "Coverage-guided fuzzer for the SVM protocol families, with an LRC\n"
     "oracle on every shared read and differential cross-protocol replay\n"
     "of coverage-novel inputs.",
-    "  --budget=N            total harness executions (default 1000)\n"
-    "  --seed=N              session seed (default 1)\n"
-    "  --jobs=N              worker threads per batch (default: hardware\n"
-    "                        concurrency; results are --jobs independent)\n"
-    "  --batch=N             mutants per batch (default 16)\n"
-    "  --nodes=N             simulated node count (default 4)\n"
-    "  --page-size=BYTES     SVM page size (default 512)\n"
-    "  --max-jitter-us=N     max per-message delivery jitter (default 150)\n"
-    "  --primary=NAME        protocol fuzzed directly: lrc | olrc | hlrc |\n"
-    "                        ohlrc | erc | aurc (default hlrc)\n"
-    "  --cross=LIST          differential protocol set (default\n"
-    "                        lrc,erc,hlrc,aurc; first entry is the reference)\n"
-    "  --mutation=NAME       seeded protocol bug for canary sessions: none |\n"
-    "                        hlrc-skip-diff-apply | lrc-skip-invalidate\n"
-    "  --fault-drop=P        drop probability under every run (reliable\n"
-    "                        delivery is enabled automatically)\n"
-    "  --fault-delay=P       delay probability under every run\n"
-    "  --no-feedback         disable corpus growth (uniform random control)\n"
-    "  --no-differential     skip cross-protocol replay of novel inputs\n"
-    "  --max-seconds=S       wall-clock bound, checked between batches\n"
-    "  --corpus-out=DIR      write the final corpus as repro files\n"
-    "  --repro-out=FILE      write the minimized failure repro here\n"
-    "                        (default: svmfuzz-failure.repro)\n"
-    "  --cover-report        print the per-domain coverage breakdown\n"
-    "  --repro=FILE          replay one repro file instead of fuzzing\n",
 };
-
-ProtocolKind ParseProtocol(const std::string& s) {
-  if (s == "lrc") return ProtocolKind::kLrc;
-  if (s == "olrc") return ProtocolKind::kOlrc;
-  if (s == "hlrc") return ProtocolKind::kHlrc;
-  if (s == "ohlrc") return ProtocolKind::kOhlrc;
-  if (s == "erc") return ProtocolKind::kErc;
-  if (s == "aurc") return ProtocolKind::kAurc;
-  UsageError(kTool, "unknown protocol '" + s + "'");
-}
-
-TestMutation ParseMutation(const std::string& s) {
-  if (s == "none") return TestMutation::kNone;
-  if (s == "hlrc-skip-diff-apply") return TestMutation::kHlrcSkipDiffApply;
-  if (s == "lrc-skip-invalidate") return TestMutation::kLrcSkipInvalidate;
-  UsageError(kTool, "unknown mutation '" + s + "'");
-}
-
-std::vector<std::string> SplitList(const std::string& s) {
-  std::vector<std::string> out;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    const size_t comma = s.find(',', pos);
-    const size_t end = comma == std::string::npos ? s.size() : comma;
-    if (end > pos) {
-      out.push_back(s.substr(pos, end - pos));
-    }
-    pos = end + 1;
-  }
-  return out;
-}
 
 int ReplayFile(const std::string& path) {
   fuzz::ReproFile repro;
@@ -144,64 +85,74 @@ bool WriteCorpus(const std::string& dir, const fuzz::Fuzzer& fuzzer,
 int Main(int argc, char** argv) {
   fuzz::FuzzConfig cfg;
   cfg.jobs = 0;  // EffectiveJobs resolves 0 to hardware concurrency.
+  int64_t max_jitter_us = cfg.max_jitter / Micros(1);
   std::string corpus_out;
   std::string repro_out = "svmfuzz-failure.repro";
   std::string replay_path;
   bool cover_report = false;
+  const OneOf<ProtocolKind> protocol{kProtocolNames};
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto val = [&](const char* p) { return arg.substr(std::strlen(p)); };
-    if (arg.rfind("--budget=", 0) == 0) {
-      cfg.budget = std::atoi(val("--budget=").c_str());
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      cfg.seed = std::strtoull(val("--seed=").c_str(), nullptr, 10);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      cfg.jobs = std::atoi(val("--jobs=").c_str());
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      cfg.batch = std::atoi(val("--batch=").c_str());
-    } else if (arg.rfind("--nodes=", 0) == 0) {
-      cfg.nodes = std::atoi(val("--nodes=").c_str());
-    } else if (arg.rfind("--page-size=", 0) == 0) {
-      cfg.page_size = std::atoll(val("--page-size=").c_str());
-    } else if (arg.rfind("--max-jitter-us=", 0) == 0) {
-      cfg.max_jitter = Micros(std::atoll(val("--max-jitter-us=").c_str()));
-    } else if (arg.rfind("--primary=", 0) == 0) {
-      cfg.primary = ParseProtocol(val("--primary="));
-    } else if (arg.rfind("--cross=", 0) == 0) {
-      cfg.cross.clear();
-      for (const std::string& p : SplitList(val("--cross="))) {
-        cfg.cross.push_back(ParseProtocol(p));
-      }
-    } else if (arg.rfind("--mutation=", 0) == 0) {
-      cfg.mutation = ParseMutation(val("--mutation="));
-    } else if (arg.rfind("--fault-drop=", 0) == 0) {
-      cfg.fault_drop = std::atof(val("--fault-drop=").c_str());
-    } else if (arg.rfind("--fault-delay=", 0) == 0) {
-      cfg.fault_delay = std::atof(val("--fault-delay=").c_str());
-    } else if (arg == "--no-feedback") {
-      cfg.feedback = false;
-    } else if (arg == "--no-differential") {
-      cfg.differential = false;
-    } else if (arg.rfind("--max-seconds=", 0) == 0) {
-      cfg.max_seconds = std::atof(val("--max-seconds=").c_str());
-    } else if (arg.rfind("--corpus-out=", 0) == 0) {
-      corpus_out = val("--corpus-out=");
-    } else if (arg.rfind("--repro-out=", 0) == 0) {
-      repro_out = val("--repro-out=");
-    } else if (arg == "--cover-report") {
-      cover_report = true;
-    } else if (arg.rfind("--repro=", 0) == 0) {
-      replay_path = val("--repro=");
-    } else if (!HandleCommonFlag(kTool, arg)) {
-      UsageError(kTool, "unknown flag: " + arg);
-    }
-  }
+  FlagTable flags(kTool);
+  flags.Value("--budget", "N", &cfg.budget, "total harness executions (default 1000)",
+              Range<int>{1})
+      .Value("--seed", "N", &cfg.seed, "session seed (default 1)", Range<uint64_t>{})
+      .Value("--jobs", "N", &cfg.jobs,
+             "worker threads per batch (default 0 = hardware concurrency; results are "
+             "--jobs independent)",
+             Range<int>{0, kMaxJobs})
+      .Value("--batch", "N", &cfg.batch, "mutants per batch (default 16)", Range<int>{1})
+      .Value("--nodes", "N", &cfg.nodes, "simulated node count (default 4)",
+             Range<int>{2, kMaxNodes})
+      .Value("--page-size", "BYTES", &cfg.page_size, "SVM page size (default 512)",
+             Range<int64_t>{1})
+      .Value("--max-jitter-us", "N", &max_jitter_us,
+             "max per-message delivery jitter (default 150)",
+             Range<int64_t>{0, kMaxMicros})
+      .Value("--primary", "NAME", &cfg.primary, "protocol fuzzed directly (default hlrc)",
+             protocol)
+      .List("--cross", "LIST", &cfg.cross,
+            "differential protocol set (default lrc,erc,hlrc,aurc;\n"
+            "first entry is the reference)",
+            protocol)
+      .Value("--mutation", "NAME", &cfg.mutation, "seeded protocol bug for canary sessions",
+             OneOf<TestMutation>{kTestMutationNames})
+      .Value("--fault-drop", "P", &cfg.fault_drop,
+             "drop probability under every run (reliable\n"
+             "delivery is enabled automatically)",
+             kProbability)
+      .Value("--fault-delay", "P", &cfg.fault_delay, "delay probability under every run",
+             kProbability)
+      .Bool("--no-feedback", &cfg.feedback, "disable corpus growth (uniform random control)",
+            false)
+      .Bool("--no-differential", &cfg.differential,
+            "skip cross-protocol replay of novel inputs", false)
+      .Value("--max-seconds", "S", &cfg.max_seconds,
+             "wall-clock bound, checked between batches", Range<double>{0.0})
+      .String("--corpus-out", "DIR", &corpus_out, "write the final corpus as repro files")
+      .String("--repro-out", "FILE", &repro_out,
+              "write the minimized failure repro here\n"
+              "(default: svmfuzz-failure.repro)")
+      .Bool("--cover-report", &cover_report, "print the per-domain coverage breakdown")
+      .String("--repro", "FILE", &replay_path, "replay one repro file instead of fuzzing");
+  flags.ParseOrExit(argc, argv);
+  cfg.max_jitter = Micros(max_jitter_us);
   if (!replay_path.empty()) {
     return ReplayFile(replay_path);
   }
-  if (cfg.budget <= 0 || cfg.batch <= 0 || cfg.nodes < 2 || cfg.page_size <= 0) {
-    UsageError(kTool, "--budget, --batch must be positive; --nodes at least 2");
+  // The machine every run simulates, checked once before the first run.
+  SimConfig base;
+  base.nodes = cfg.nodes;
+  base.page_size = cfg.page_size;
+  base.shared_bytes = cfg.shared_bytes;
+  base.fault.drop_prob = cfg.fault_drop;
+  base.fault.delay_prob = cfg.fault_delay;
+  ApplyDeliveryOptions(&base, base.fault.Active(), /*coalesce=*/false);
+  std::string why = ValidateConfig(base);
+  if (why.empty()) {
+    why = fuzz::ValidateSeedMachine(cfg.nodes, cfg.page_size, cfg.shared_bytes);
+  }
+  if (!why.empty()) {
+    flags.UsageError(why);
   }
   cfg.jobs = EffectiveJobs(cfg.jobs, cfg.batch);
 

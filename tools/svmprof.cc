@@ -13,7 +13,6 @@
 //   svmprof --diff a.json b.json      A/B comparison with percent deltas
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,50 +29,18 @@ const ToolInfo kTool = {
     "Renders svmsim \"hlrc-run-summary\" JSON files for humans: run\n"
     "configuration, per-phase time breakdown, latency percentiles, hot\n"
     "pages and traffic totals. Files are schema-validated on load.",
-    "  --top=N               widen the hot-page table (default 20)\n"
-    "  --check               validate only (exit 0/1), no report\n"
-    "  --diff                compare two runs with percent deltas; exits 2\n"
-    "                        when either input fails schema validation\n",
     "RUN.json [flags] | --check RUN.json | --diff A.json B.json",
 };
-
-bool ReadFile(const std::string& path, std::string* out, std::string* err) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *err = "cannot open " + path;
-    return false;
-  }
-  out->clear();
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    *err = "read error on " + path;
-  }
-  return ok;
-}
 
 // Loads, parses, and schema-validates one run summary. Exits with
 // `fail_exit` on failure so every code path downstream can assume a
 // well-formed document. --diff passes 2: an invalid input there is a bad
 // invocation, not a run-quality finding.
 JsonValue LoadSummary(const std::string& path, int fail_exit = 1) {
-  std::string text, err;
-  if (!ReadFile(path, &text, &err)) {
-    std::fprintf(stderr, "svmprof: %s\n", err.c_str());
-    std::exit(fail_exit);
-  }
+  std::string err;
   JsonValue v;
-  if (!ParseJson(text, &v, &err)) {
-    std::fprintf(stderr, "svmprof: %s: JSON parse error: %s\n", path.c_str(), err.c_str());
-    std::exit(fail_exit);
-  }
-  if (!ValidateRunSummary(v, &err)) {
-    std::fprintf(stderr, "svmprof: %s: schema violation: %s\n", path.c_str(), err.c_str());
+  if (!LoadRunSummary(path, &v, &err)) {
+    std::fprintf(stderr, "svmprof: %s\n", err.c_str());
     std::exit(fail_exit);
   }
   return v;
@@ -324,33 +291,21 @@ int Main(int argc, char** argv) {
   bool check_only = false;
   bool diff = false;
   int64_t top = 20;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--check") {
-      check_only = true;
-    } else if (arg == "--diff") {
-      diff = true;
-    } else if (arg.rfind("--top=", 0) == 0) {
-      top = ParseIntFlag(kTool, "--top", arg.substr(std::strlen("--top=")));
-      if (top <= 0) {
-        UsageError(kTool, "--top must be positive");
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      if (!HandleCommonFlag(kTool, arg)) {
-        UsageError(kTool, "unknown flag: " + arg);
-      }
-    } else {
-      positional.push_back(arg);
-    }
-  }
+  FlagTable flags(kTool);
+  flags.Value("--top", "N", &top, "widen the hot-page table (default 20)", Range<int64_t>{1})
+      .Bool("--check", &check_only, "validate only (exit 0/1), no report")
+      .Bool("--diff", &diff,
+            "compare two runs with percent deltas; exits 2\n"
+            "when either input fails schema validation");
+  flags.ParseOrExit(argc, argv, 1, &positional);
   if (diff) {
     if (check_only || positional.size() != 2) {
-      UsageError(kTool, "--diff takes exactly two run files");
+      flags.UsageError("--diff takes exactly two run files");
     }
     return Diff(positional[0], positional[1]);
   }
   if (positional.size() != 1) {
-    UsageError(kTool, "exactly one run file required");
+    flags.UsageError("exactly one run file required");
   }
   if (check_only) {
     LoadSummary(positional[0]);  // Exits nonzero on parse/schema failure.

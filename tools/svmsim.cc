@@ -2,174 +2,28 @@
 //
 // Runs one benchmark application under one protocol and prints the full
 // paper-style report: time breakdown, operation counts, traffic, protocol
-// memory, and optionally a Chrome trace.
-//
-//   svmsim --app=water-nsq --protocol=hlrc --nodes=32
-//   svmsim --app=lu --protocol=lrc --nodes=64 --scale=paper --trace=lu.json
-//   svmsim --list
-//
-// Flags:
-//   --app=NAME            lu | sor | water-nsq | water-sp | raytrace
-//   --protocol=NAME       lrc | olrc | hlrc | ohlrc | erc | aurc
-//   --nodes=N             node count (default 8)
-//   --scale=S             tiny | default | paper
-//   --page-size=BYTES     SVM page size (default 4096)
-//   --home=POLICY         block | round-robin | single-node
-//   --diff-policy=P       eager | lazy (homeless protocols)
-//   --gc-threshold=BYTES  homeless GC trigger (default 4 MiB)
-//   --migrate-homes       enable dynamic home migration (home-based)
-//   --trace=FILE.json     write a chrome://tracing execution trace (protocol
-//                         event timeline; distinct from a --record-trace
-//                         workload trace)
-//   --per-node            print the per-node breakdown table
-//   --no-verify           skip result verification
-//   --verbose             print a host wall-clock summary after the report
-//                         (events processed, events/sec, peak RSS)
-//   --seed=N              root seed (application inputs + fault injector)
-//
-// Workload capture & replay (docs/WORKLOADS.md):
-//   --record-trace=FILE   record the run's shared-access/sync workload into
-//                         a trace file (pure observation; timing unchanged)
-//   --replay-trace=FILE   replay a recorded trace instead of running an app
-//                         (defaults --nodes/--page-size to the trace header;
-//                         combine with --protocol to cross-replay)
-//
-// Observability (docs/OBSERVABILITY.md):
-//   --metrics-out=FILE    write a versioned JSON run summary (latency
-//                         histograms, time-series samples, hot pages, causal
-//                         spans); also adds Perfetto counter tracks and span
-//                         flow events to --trace
-//   --sample-interval=US  metrics sampler period in simulated microseconds
-//                         (default 1000; implies metrics collection)
-//
-// Fault injection & reliable delivery (docs/FAULTS.md):
-//   --fault-drop=P        drop each message with probability P
-//   --fault-dup=P         duplicate each message with probability P
-//   --fault-delay=P       delay each message with probability P
-//   --fault-corrupt=P     corrupt-and-drop each message with probability P
-//   --fault-seed=N        injector seed (default: derived from --seed)
-//   --partition=a-b@t0..t1  partition node lists a and b during [t0,t1) ms
-//                           (repeatable; empty b = rest of the machine)
-//   --reliable            enable ack/retransmit delivery (implied by faults)
-//   --retry-timeout=US    retransmit timeout in microseconds (default 10000)
-//   --retry-max=N         retransmissions per message before aborting
-//   --coalesce            coalesced wire plane (frame packing, ack
-//                         piggybacking, request combining)
-//   --barrier-arity=N     combining barrier tree of arity N (0 = flat)
+// memory, and optionally a Chrome trace. `svmsim --help` lists the flags
+// (declared in tools/tool_flags.cc).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
 
-#include "src/apps/app.h"
-#include "src/common/cli.h"
-#include "src/common/rng.h"
 #include "src/common/table.h"
 #include "src/fuzz/coverage.h"
-#include "src/fault/fault_plan.h"
 #include "src/metrics/sampler.h"
 #include "src/svm/run_summary.h"
-#include "src/svm/system.h"
 #include "src/tracing/span.h"
 #include "src/wkld/recorder.h"
-#include "src/wkld/replay.h"
 #include "src/wkld/trace_file.h"
+#include "tools/tool_flags.h"
 
 namespace hlrc {
 namespace {
-
-struct Options {
-  std::string app = "sor";
-  bool app_set = false;
-  std::string record_trace_path;
-  std::string replay_trace_path;
-  ProtocolKind protocol = ProtocolKind::kHlrc;
-  int nodes = 8;
-  bool nodes_set = false;
-  bool page_size_set = false;
-  AppScale scale = AppScale::kDefault;
-  int64_t page_size = 4096;
-  HomePolicy home = HomePolicy::kBlock;
-  DiffPolicy diff_policy = DiffPolicy::kEager;
-  int64_t gc_threshold = 4ll << 20;
-  std::string trace_path;
-  std::string metrics_path;
-  SimTime sample_interval = Millis(1);
-  bool migrate_homes = false;
-  bool per_node = false;
-  bool verbose = false;
-  bool verify = true;
-  bool seed_set = false;
-  uint64_t seed = 42;
-  FaultPlan fault;
-  bool fault_seed_set = false;
-  bool reliable = false;
-  SimTime retry_timeout = Micros(10000);
-  int retry_max = 12;
-  bool coalesce = false;
-  int barrier_arity = 0;
-  bool coverage = false;
-};
-
-const ToolInfo kTool = {
-    "svmsim",
-    "Runs one benchmark application under one SVM protocol and prints the\n"
-    "paper-style report (time breakdown, operation counts, traffic).",
-    "  --app=NAME            lu | sor | water-nsq | water-sp | raytrace\n"
-    "  --protocol=NAME       lrc | olrc | hlrc | ohlrc | erc | aurc\n"
-    "  --nodes=N             node count (default 8)\n"
-    "  --scale=S             tiny | default | paper\n"
-    "  --page-size=BYTES     SVM page size (default 4096)\n"
-    "  --home=POLICY         block | round-robin | single-node\n"
-    "  --diff-policy=P       eager | lazy (homeless protocols)\n"
-    "  --gc-threshold=BYTES  homeless GC trigger (default 4 MiB)\n"
-    "  --migrate-homes       enable dynamic home migration (home-based)\n"
-    "  --trace=FILE.json     write a chrome://tracing execution trace (event\n"
-    "                        timeline; distinct from a workload trace)\n"
-    "  --per-node            print the per-node breakdown table\n"
-    "  --no-verify           skip result verification\n"
-    "  --verbose             print a host wall-clock summary\n"
-    "  --seed=N              root seed (app inputs + fault injector)\n"
-    "  --record-trace=FILE   record the run's workload trace (shared accesses\n"
-    "                        and sync; replayable input, not a timeline)\n"
-    "  --replay-trace=FILE   replay a recorded workload trace instead of an app\n"
-    "  --metrics-out=FILE    write a versioned JSON run summary (includes the\n"
-    "                        causal-span section read by svmtrace)\n"
-    "  --sample-interval=US  metrics sampler period (default 1000)\n"
-    "  --coverage            collect protocol-state coverage; printed after\n"
-    "                        the report and exported in --metrics-out\n"
-    "  --fault-drop=P --fault-dup=P --fault-delay=P --fault-corrupt=P\n"
-    "                        per-message fault probabilities\n"
-    "  --fault-seed=N        injector seed (default: derived from --seed)\n"
-    "  --partition=a-b@t0..t1  partition node lists a and b during [t0,t1) ms\n"
-    "  --reliable            enable ack/retransmit delivery (implied by faults)\n"
-    "  --retry-timeout=US    retransmit timeout (default 10000)\n"
-    "  --retry-max=N         retransmissions per message before aborting\n"
-    "  --coalesce            coalesced wire plane: same-tick sends to one peer\n"
-    "                        packed into multi-part frames, acks piggybacked on\n"
-    "                        data (with --reliable), page requests combined at\n"
-    "                        the home\n"
-    "  --barrier-arity=N     combining barrier tree of arity N (default 0 =\n"
-    "                        flat all-to-manager barrier)\n"
-    "  --list                print application and protocol names\n",
-};
-
-ProtocolKind ParseProtocol(const std::string& s) {
-  if (s == "lrc") return ProtocolKind::kLrc;
-  if (s == "olrc") return ProtocolKind::kOlrc;
-  if (s == "hlrc") return ProtocolKind::kHlrc;
-  if (s == "ohlrc") return ProtocolKind::kOhlrc;
-  if (s == "erc") return ProtocolKind::kErc;
-  if (s == "aurc") return ProtocolKind::kAurc;
-  UsageError(kTool, "unknown protocol '" + s + "'");
-}
 
 // Peak resident set size of this process, in bytes (0 when unavailable).
 int64_t PeakRssBytes() {
@@ -188,188 +42,18 @@ int64_t PeakRssBytes() {
 #endif
 }
 
-Options Parse(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto val = [&](const char* p) { return arg.substr(std::strlen(p)); };
-    if (arg == "--list") {
-      std::printf("applications:");
-      for (const std::string& a : RegisteredAppNames()) {
-        std::printf(" %s", a.c_str());
-      }
-      std::printf("\nprotocols: lrc olrc hlrc ohlrc erc aurc\n");
-      std::exit(0);
-    } else if (arg.rfind("--app=", 0) == 0) {
-      o.app = val("--app=");
-      o.app_set = true;
-    } else if (arg.rfind("--record-trace=", 0) == 0) {
-      o.record_trace_path = val("--record-trace=");
-    } else if (arg.rfind("--replay-trace=", 0) == 0) {
-      o.replay_trace_path = val("--replay-trace=");
-    } else if (arg.rfind("--protocol=", 0) == 0) {
-      o.protocol = ParseProtocol(val("--protocol="));
-    } else if (arg.rfind("--nodes=", 0) == 0) {
-      o.nodes = std::atoi(val("--nodes=").c_str());
-      o.nodes_set = true;
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      const std::string s = val("--scale=");
-      o.scale = s == "tiny" ? AppScale::kTiny
-                            : (s == "paper" ? AppScale::kPaper : AppScale::kDefault);
-    } else if (arg.rfind("--page-size=", 0) == 0) {
-      o.page_size = std::atoll(val("--page-size=").c_str());
-      o.page_size_set = true;
-    } else if (arg.rfind("--home=", 0) == 0) {
-      const std::string s = val("--home=");
-      o.home = s == "round-robin"
-                   ? HomePolicy::kRoundRobin
-                   : (s == "single-node" ? HomePolicy::kSingleNode : HomePolicy::kBlock);
-    } else if (arg.rfind("--diff-policy=", 0) == 0) {
-      o.diff_policy = val("--diff-policy=") == "lazy" ? DiffPolicy::kLazy : DiffPolicy::kEager;
-    } else if (arg.rfind("--gc-threshold=", 0) == 0) {
-      o.gc_threshold = std::atoll(val("--gc-threshold=").c_str());
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      o.trace_path = val("--trace=");
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      o.metrics_path = val("--metrics-out=");
-    } else if (arg.rfind("--sample-interval=", 0) == 0) {
-      o.sample_interval = Micros(std::atoll(val("--sample-interval=").c_str()));
-      if (o.sample_interval <= 0) {
-        UsageError(kTool, "--sample-interval must be positive");
-      }
-    } else if (arg == "--coverage") {
-      o.coverage = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      o.seed = static_cast<uint64_t>(std::strtoull(val("--seed=").c_str(), nullptr, 10));
-      o.seed_set = true;
-    } else if (arg.rfind("--fault-drop=", 0) == 0) {
-      o.fault.drop_prob = std::atof(val("--fault-drop=").c_str());
-    } else if (arg.rfind("--fault-dup=", 0) == 0) {
-      o.fault.dup_prob = std::atof(val("--fault-dup=").c_str());
-    } else if (arg.rfind("--fault-delay=", 0) == 0) {
-      o.fault.delay_prob = std::atof(val("--fault-delay=").c_str());
-    } else if (arg.rfind("--fault-corrupt=", 0) == 0) {
-      o.fault.corrupt_prob = std::atof(val("--fault-corrupt=").c_str());
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      o.fault.seed =
-          static_cast<uint64_t>(std::strtoull(val("--fault-seed=").c_str(), nullptr, 10));
-      o.fault_seed_set = true;
-    } else if (arg.rfind("--partition=", 0) == 0) {
-      PartitionWindow w;
-      std::string err;
-      if (!ParsePartitionSpec(val("--partition="), &w, &err)) {
-        UsageError(kTool, "bad --partition spec: " + err);
-      }
-      o.fault.partitions.push_back(std::move(w));
-    } else if (arg == "--reliable") {
-      o.reliable = true;
-    } else if (arg.rfind("--retry-timeout=", 0) == 0) {
-      o.retry_timeout = Micros(std::atoll(val("--retry-timeout=").c_str()));
-      o.reliable = true;
-    } else if (arg.rfind("--retry-max=", 0) == 0) {
-      o.retry_max = std::atoi(val("--retry-max=").c_str());
-      o.reliable = true;
-    } else if (arg == "--coalesce") {
-      o.coalesce = true;
-    } else if (arg.rfind("--barrier-arity=", 0) == 0) {
-      o.barrier_arity = std::atoi(val("--barrier-arity=").c_str());
-      if (o.barrier_arity < 0) {
-        UsageError(kTool, "--barrier-arity must be >= 0");
-      }
-    } else if (arg == "--migrate-homes") {
-      o.migrate_homes = true;
-    } else if (arg == "--per-node") {
-      o.per_node = true;
-    } else if (arg == "--verbose") {
-      o.verbose = true;
-    } else if (arg == "--no-verify") {
-      o.verify = false;
-    } else if (!HandleCommonFlag(kTool, arg)) {
-      UsageError(kTool, "unknown flag: " + arg);
-    }
-  }
-  return o;
-}
-
 int Main(int argc, char** argv) {
-  const Options o = Parse(argc, argv);
-
-  // Replay substitutes the trace for an application and inherits the
-  // recorded topology unless flags override it explicitly.
-  std::unique_ptr<wkld::TraceReplayApp> replay_app;
-  if (!o.replay_trace_path.empty()) {
-    if (o.app_set) {
-      std::fprintf(stderr, "--replay-trace and --app are mutually exclusive\n");
-      return 2;
-    }
-    std::string err;
-    replay_app = wkld::TraceReplayApp::Open(o.replay_trace_path, &err);
-    if (replay_app == nullptr) {
-      std::fprintf(stderr, "cannot replay: %s\n", err.c_str());
-      return 2;
-    }
+  SimOptions o;
+  FlagTable flags(kSimTool);
+  AddSimFlags(&flags, &o);
+  flags.ParseOrExit(argc, argv);
+  SimRun run;
+  if (const std::string why = PrepareSimRun(o, &run); !why.empty()) {
+    std::fprintf(stderr, "svmsim: %s\n", why.c_str());
+    return 2;
   }
-
-  SimConfig cfg;
-  cfg.nodes = o.nodes;
-  cfg.page_size = o.page_size;
-  cfg.shared_bytes = 256ll << 20;
-  cfg.seed = o.seed;
-  if (replay_app != nullptr) {
-    const wkld::TraceInfo& info = replay_app->info();
-    if (!o.nodes_set) {
-      cfg.nodes = info.nodes;
-    }
-    if (!o.page_size_set) {
-      cfg.page_size = info.page_size;
-    }
-    if (info.shared_bytes > 0) {
-      cfg.shared_bytes = info.shared_bytes;
-    }
-  }
-  cfg.protocol.kind = o.protocol;
-  cfg.protocol.home_policy = o.home;
-  cfg.protocol.diff_policy = o.diff_policy;
-  cfg.protocol.gc_threshold_bytes = o.gc_threshold;
-  cfg.protocol.migrate_homes = o.migrate_homes;
-
-  // One root seed feeds every Rng consumer: application inputs and the fault
-  // injector draw distinct derived seeds, unless overridden explicitly.
-  Rng root(cfg.seed);
-  const uint64_t app_seed = root.NextU64();
-  const uint64_t derived_fault_seed = root.NextU64();
-  cfg.fault = o.fault;
-  if (!o.fault_seed_set) {
-    cfg.fault.seed = derived_fault_seed;
-  }
-  if (o.reliable || cfg.fault.Active()) {
-    cfg.reliability.enabled = true;
-    cfg.reliability.retry_timeout = o.retry_timeout;
-    cfg.reliability.max_retries = o.retry_max;
-  }
-  if (o.coalesce) {
-    cfg.network.coalesce = true;
-    cfg.protocol.coalesce = true;
-    // Ack piggybacking only matters once acks exist at all.
-    cfg.reliability.piggyback_acks = cfg.reliability.enabled;
-  }
-  cfg.protocol.barrier_arity = o.barrier_arity;
-
-  std::unique_ptr<App> app;
-  if (replay_app != nullptr) {
-    app = std::move(replay_app);
-  } else {
-    app = o.seed_set ? TryMakeApp(o.app, o.scale, app_seed) : TryMakeApp(o.app, o.scale);
-    if (app == nullptr) {
-      std::fprintf(stderr, "unknown app '%s'; registered apps:", o.app.c_str());
-      for (const std::string& name : RegisteredAppNames()) {
-        std::fprintf(stderr, " %s", name.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      return 2;
-    }
-  }
-  ExitIfInvalid(*app, cfg);
+  const SimConfig& cfg = run.cfg;
+  App* app = run.app.get();
   System sys(cfg);
   TraceLog* trace = o.trace_path.empty() ? nullptr : sys.EnableTracing();
   // Metrics ride along whenever a run summary is requested, and also when a
@@ -378,7 +62,7 @@ int Main(int argc, char** argv) {
   // and the execution trace's flow events.
   Metrics* metrics = (o.metrics_path.empty() && o.trace_path.empty())
                          ? nullptr
-                         : sys.EnableMetrics(o.sample_interval);
+                         : sys.EnableMetrics(Micros(o.sample_interval_us));
   if (metrics != nullptr) {
     // 256K spans covers the paper apps at 8 nodes; beyond that the tracer
     // drops monotonically (newest first), which keeps the DAG closed.
@@ -391,13 +75,13 @@ int Main(int argc, char** argv) {
   std::unique_ptr<fuzz::CoverageMap> coverage;
   if (o.coverage) {
     coverage = std::make_unique<fuzz::CoverageMap>(
-        static_cast<uint64_t>(o.protocol) + 1);
+        static_cast<uint64_t>(cfg.protocol.kind) + 1);
     sys.SetCoverageObserver(coverage.get());
   }
   std::unique_ptr<wkld::TraceWriter> trace_writer;
   std::unique_ptr<wkld::TraceRecorder> recorder;
   if (!o.record_trace_path.empty()) {
-    const std::string meta = std::string("protocol=") + ProtocolName(o.protocol) +
+    const std::string meta = std::string("protocol=") + ProtocolName(cfg.protocol.kind) +
                              " seed=" + std::to_string(cfg.seed);
     trace_writer = std::make_unique<wkld::TraceWriter>(
         o.record_trace_path, wkld::MakeTraceInfo(cfg, app->name(), meta));
@@ -423,17 +107,16 @@ int Main(int argc, char** argv) {
   const NodeReport totals = report.Totals();
 
   std::printf("%s under %s on %d nodes (%s scale, %lld B pages, %s homes)\n",
-              app->name().c_str(), ProtocolName(o.protocol), o.nodes,
-              o.scale == AppScale::kPaper ? "paper"
-                                          : (o.scale == AppScale::kTiny ? "tiny" : "default"),
-              static_cast<long long>(o.page_size), HomePolicyName(o.home));
+              app->name().c_str(), ProtocolName(cfg.protocol.kind), cfg.nodes,
+              NameOf(kAppScaleNames, o.scale), static_cast<long long>(cfg.page_size),
+              HomePolicyName(cfg.protocol.home_policy));
   char app_seed_str[32] = "builtin";  // No --seed: apps keep their fixed inputs.
-  if (o.seed_set) {
+  if (o.seed_given) {
     std::snprintf(app_seed_str, sizeof(app_seed_str), "%llu",
-                  static_cast<unsigned long long>(app_seed));
+                  static_cast<unsigned long long>(run.app_seed));
   }
   std::printf("seed: %llu%s (app=%s, fault=%llu)\n",
-              static_cast<unsigned long long>(cfg.seed), o.seed_set ? "" : " [default]",
+              static_cast<unsigned long long>(cfg.seed), o.seed_given ? "" : " [default]",
               app_seed_str, static_cast<unsigned long long>(cfg.fault.seed));
   if (cfg.fault.Active()) {
     std::printf("faults: %s\n", FaultPlanSummary(cfg.fault).c_str());
@@ -443,10 +126,10 @@ int Main(int argc, char** argv) {
                 static_cast<long long>(cfg.reliability.retry_timeout / 1000),
                 cfg.reliability.retry_backoff, cfg.reliability.max_retries);
   }
-  if (o.coalesce || o.barrier_arity >= 2) {
+  if (o.coalesce || cfg.protocol.barrier_arity >= 2) {
     std::printf("wire plane: coalesce=%s piggyback=%s barrier-arity=%d\n",
                 o.coalesce ? "on" : "off",
-                cfg.reliability.piggyback_acks ? "on" : "off", o.barrier_arity);
+                cfg.reliability.piggyback_acks ? "on" : "off", cfg.protocol.barrier_arity);
   }
   std::printf("verification: %s%s\n\n", verified ? "OK" : "FAILED ",
               verified ? "" : why.c_str());
@@ -471,7 +154,7 @@ int Main(int argc, char** argv) {
     summary.AddRow({"Duplicates dropped", Table::Fmt(totals.traffic.msgs_duplicated_dropped)});
     summary.AddRow({"Acks", Table::Fmt(totals.traffic.acks_sent)});
   }
-  if (o.coalesce || o.barrier_arity >= 2) {
+  if (o.coalesce || cfg.protocol.barrier_arity >= 2) {
     summary.AddRow({"Coalesced frames", Table::Fmt(totals.traffic.frames_coalesced)});
     summary.AddRow({"Messages coalesced", Table::Fmt(totals.traffic.msgs_coalesced)});
     summary.AddRow({"Acks piggybacked", Table::Fmt(totals.traffic.acks_piggybacked)});
@@ -530,14 +213,13 @@ int Main(int argc, char** argv) {
                 static_cast<long long>(trace->dropped()));
   }
   if (coverage != nullptr) {
-    std::printf("\nprotocol-state coverage (%s):\n%s", ProtocolName(o.protocol),
+    std::printf("\nprotocol-state coverage (%s):\n%s", ProtocolName(cfg.protocol.kind),
                 coverage->Report().c_str());
   }
   if (!o.metrics_path.empty()) {
     RunSummaryMeta meta;
     meta.app = app->name();
-    meta.scale = o.scale == AppScale::kPaper ? "paper"
-                                             : (o.scale == AppScale::kTiny ? "tiny" : "default");
+    meta.scale = NameOf(kAppScaleNames, o.scale);
     meta.verified = verified;
     if (coverage != nullptr) {
       meta.coverage.enabled = true;

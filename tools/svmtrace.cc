@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -37,33 +36,8 @@ const ToolInfo kTool = {
     "Attributes each blocked operation's wait (page faults, lock acquires,\n"
     "barriers) across the causal span DAG an svmsim run records: wire time,\n"
     "queueing, retransmits, home service, diff work, bookkeeping, compute.",
-    "  --top=N               rows in the slowest/per-page tables (default 10)\n"
-    "  --per-page            critpath: include the per-page fault table\n"
-    "  --check               validate spans (schema + DAG shape), exit 0/1\n"
-    "  --diff                compare two runs' attributions; exits 2 when\n"
-    "                        either input fails schema validation\n",
     "COMMAND RUN.json [flags] | --check RUN.json | --diff A.json B.json",
 };
-
-bool ReadFile(const std::string& path, std::string* out, std::string* err) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *err = "cannot open " + path;
-    return false;
-  }
-  out->clear();
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    *err = "read error on " + path;
-  }
-  return ok;
-}
 
 struct LoadedSpans {
   std::vector<Span> spans;
@@ -76,18 +50,10 @@ struct LoadedSpans {
 // extracts + DAG-checks the spans section. Exits with `fail_exit` on any
 // failure (--diff passes 2: an invalid input is a bad invocation).
 LoadedSpans LoadSpans(const std::string& path, int fail_exit = 1) {
-  std::string text, err;
-  if (!ReadFile(path, &text, &err)) {
-    std::fprintf(stderr, "svmtrace: %s\n", err.c_str());
-    std::exit(fail_exit);
-  }
+  std::string err;
   JsonValue v;
-  if (!ParseJson(text, &v, &err)) {
-    std::fprintf(stderr, "svmtrace: %s: JSON parse error: %s\n", path.c_str(), err.c_str());
-    std::exit(fail_exit);
-  }
-  if (!ValidateRunSummary(v, &err)) {
-    std::fprintf(stderr, "svmtrace: %s: schema violation: %s\n", path.c_str(), err.c_str());
+  if (!LoadRunSummary(path, &v, &err)) {
+    std::fprintf(stderr, "svmtrace: %s\n", err.c_str());
     std::exit(fail_exit);
   }
   LoadedSpans out;
@@ -307,45 +273,33 @@ int Main(int argc, char** argv) {
   bool diff = false;
   bool per_page = false;
   int64_t top = 10;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--check") {
-      check_only = true;
-    } else if (arg == "--diff") {
-      diff = true;
-    } else if (arg == "--per-page") {
-      per_page = true;
-    } else if (arg.rfind("--top=", 0) == 0) {
-      top = ParseIntFlag(kTool, "--top", arg.substr(std::strlen("--top=")));
-      if (top <= 0) {
-        UsageError(kTool, "--top must be positive");
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      if (!HandleCommonFlag(kTool, arg)) {
-        UsageError(kTool, "unknown flag: " + arg);
-      }
-    } else {
-      positional.push_back(arg);
-    }
-  }
+  FlagTable flags(kTool);
+  flags.Value("--top", "N", &top, "rows in the slowest/per-page tables (default 10)",
+              Range<int64_t>{1})
+      .Bool("--per-page", &per_page, "critpath: include the per-page fault table")
+      .Bool("--check", &check_only, "validate spans (schema + DAG shape), exit 0/1")
+      .Bool("--diff", &diff,
+            "compare two runs' attributions; exits 2 when\n"
+            "either input fails schema validation");
+  flags.ParseOrExit(argc, argv, 1, &positional);
   if (diff) {
     if (check_only || positional.size() != 2) {
-      UsageError(kTool, "--diff takes exactly two run files");
+      flags.UsageError("--diff takes exactly two run files");
     }
     return Diff(positional[0], positional[1]);
   }
   if (check_only) {
     if (positional.size() != 1) {
-      UsageError(kTool, "--check takes exactly one run file");
+      flags.UsageError("--check takes exactly one run file");
     }
     return Check(positional[0]);
   }
   if (positional.empty()) {
-    UsageError(kTool, "command required: critpath | slowest (or --check / --diff)");
+    flags.UsageError("command required: critpath | slowest (or --check / --diff)");
   }
   const std::string cmd = positional[0];
   if (positional.size() != 2) {
-    UsageError(kTool, cmd + " takes exactly one run file");
+    flags.UsageError(cmd + " takes exactly one run file");
   }
   if (cmd == "critpath") {
     return CritPath(positional[1], per_page, top);
@@ -353,7 +307,7 @@ int Main(int argc, char** argv) {
   if (cmd == "slowest") {
     return Slowest(positional[1], top);
   }
-  UsageError(kTool, "unknown command '" + cmd + "' (critpath | slowest)");
+  flags.UsageError("unknown command '" + cmd + "' (critpath | slowest)");
 }
 
 }  // namespace

@@ -23,8 +23,6 @@
 //       Dump records in a readable text form.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -49,7 +47,8 @@ const ToolInfo kTool = {
     "workload, replay a captured workload trace under any protocol, generate\n"
     "seeded synthetic workloads, and inspect workload trace files\n"
     "(docs/WORKLOADS.md). A workload trace is replayable input, distinct\n"
-    "from the execution trace timeline svmsim --trace writes.",
+    "from the execution trace timeline svmsim --trace writes.\n"
+    "Commands:\n"
     "  record --app=NAME --out=FILE [--protocol=P] [--nodes=N]\n"
     "         [--scale=S] [--page-size=B] [--seed=N]\n"
     "  replay --in=FILE [--protocol=P] [--nodes=N] [--page-size=B]\n"
@@ -57,104 +56,60 @@ const ToolInfo kTool = {
     "         [--pages-per-node=N] [--iterations=N] [--ops=N]\n"
     "         [--write-frac=F] [--locality=F] [--compute-ns=N] [--seed=N]\n"
     "  stats  --in=FILE\n"
-    "  cat    --in=FILE [--node=N] [--limit=N]\n",
+    "  cat    --in=FILE [--node=N] [--limit=N]",
     "COMMAND [flags]",
 };
 
-[[noreturn]] void Usage() {
-  PrintUsage(kTool, stderr);
-  std::fprintf(stderr, "patterns:");
-  for (const std::string& p : wkld::SynthPatternNames()) {
-    std::fprintf(stderr, " %s", p.c_str());
-  }
-  std::fprintf(stderr, "\n");
-  std::exit(2);
-}
-
-struct Flags {
+struct Options {
+  // gen's knobs; --nodes, --page-size and --seed serve record and replay too.
+  wkld::SynthConfig synth;
   std::string app;
   std::string pattern;
   std::string in_path;
   std::string out_path;
-  std::string protocol = "hlrc";
+  ProtocolKind protocol = ProtocolKind::kHlrc;
   AppScale scale = AppScale::kTiny;
-  int nodes = 8;
-  bool nodes_set = false;
-  int64_t page_size = 4096;
-  bool page_size_set = false;
-  int pages_per_node = 4;
-  int iterations = 8;
-  int ops = 16;
-  double write_frac = 0.5;
-  double locality = 0.8;
-  int64_t compute_ns = 2000;
-  uint64_t seed = 42;
-  bool seed_set = false;
-  int node = -1;
-  int64_t limit = -1;
+  bool nodes_given = false;
+  bool page_size_given = false;
+  bool seed_given = false;
+  int node = -1;       // -1 = every node.
+  int64_t limit = -1;  // -1 = no limit.
 };
 
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags f;
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto val = [&](const char* p) { return arg.substr(std::strlen(p)); };
-    if (arg.rfind("--app=", 0) == 0) {
-      f.app = val("--app=");
-    } else if (arg.rfind("--pattern=", 0) == 0) {
-      f.pattern = val("--pattern=");
-    } else if (arg.rfind("--in=", 0) == 0) {
-      f.in_path = val("--in=");
-    } else if (arg.rfind("--out=", 0) == 0) {
-      f.out_path = val("--out=");
-    } else if (arg.rfind("--protocol=", 0) == 0) {
-      f.protocol = val("--protocol=");
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      const std::string s = val("--scale=");
-      f.scale = s == "paper" ? AppScale::kPaper
-                             : (s == "default" ? AppScale::kDefault : AppScale::kTiny);
-    } else if (arg.rfind("--nodes=", 0) == 0) {
-      f.nodes = std::atoi(val("--nodes=").c_str());
-      f.nodes_set = true;
-    } else if (arg.rfind("--page-size=", 0) == 0) {
-      f.page_size = std::atoll(val("--page-size=").c_str());
-      f.page_size_set = true;
-    } else if (arg.rfind("--pages-per-node=", 0) == 0) {
-      f.pages_per_node = std::atoi(val("--pages-per-node=").c_str());
-    } else if (arg.rfind("--iterations=", 0) == 0) {
-      f.iterations = std::atoi(val("--iterations=").c_str());
-    } else if (arg.rfind("--ops=", 0) == 0) {
-      f.ops = std::atoi(val("--ops=").c_str());
-    } else if (arg.rfind("--write-frac=", 0) == 0) {
-      f.write_frac = std::atof(val("--write-frac=").c_str());
-    } else if (arg.rfind("--locality=", 0) == 0) {
-      f.locality = std::atof(val("--locality=").c_str());
-    } else if (arg.rfind("--compute-ns=", 0) == 0) {
-      f.compute_ns = std::atoll(val("--compute-ns=").c_str());
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      f.seed = std::strtoull(val("--seed=").c_str(), nullptr, 10);
-      f.seed_set = true;
-    } else if (arg.rfind("--node=", 0) == 0) {
-      f.node = std::atoi(val("--node=").c_str());
-    } else if (arg.rfind("--limit=", 0) == 0) {
-      f.limit = std::atoll(val("--limit=").c_str());
-    } else if (!HandleCommonFlag(kTool, arg)) {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage();
-    }
-  }
-  return f;
-}
-
-bool ParseProtocol(const std::string& s, ProtocolKind* kind) {
-  if (s == "lrc") *kind = ProtocolKind::kLrc;
-  else if (s == "olrc") *kind = ProtocolKind::kOlrc;
-  else if (s == "hlrc") *kind = ProtocolKind::kHlrc;
-  else if (s == "ohlrc") *kind = ProtocolKind::kOhlrc;
-  else if (s == "erc") *kind = ProtocolKind::kErc;
-  else if (s == "aurc") *kind = ProtocolKind::kAurc;
-  else return false;
-  return true;
+void AddFlags(FlagTable* flags, Options* f) {
+  flags->Value("--app", "NAME", &f->app, "application to record (record)",
+               Word{RegisteredAppNames()})
+      .Value("--pattern", "NAME", &f->pattern, "synthetic sharing pattern (gen)",
+             Word{wkld::SynthPatternNames()})
+      .String("--in", "FILE", &f->in_path, "workload trace to read (replay, stats, cat)")
+      .String("--out", "FILE", &f->out_path, "workload trace to write (record, gen)")
+      .Value("--protocol", "P", &f->protocol, "protocol (default hlrc)",
+             OneOf<ProtocolKind>{kProtocolNames})
+      .Value("--scale", "S", &f->scale, "problem scale (default tiny)",
+             OneOf<AppScale>{kAppScaleNames})
+      .Value("--nodes", "N", &f->synth.nodes, "node count (default 8; replay: the trace's)",
+             Range<int>{1, kMaxNodes})
+      .Marks(&f->nodes_given)
+      .Value("--page-size", "B", &f->synth.page_size,
+             "page size (default 4096; replay: the trace's)", Range<int64_t>{1})
+      .Marks(&f->page_size_given)
+      .Value("--pages-per-node", "N", &f->synth.pages_per_node,
+             "arena pages per node (default 4)", Range<int>{1})
+      .Value("--iterations", "N", &f->synth.iterations, "barrier-delimited rounds (default 8)",
+             Range<int>{0})
+      .Value("--ops", "N", &f->synth.ops_per_iter, "accesses per node per round (default 16)",
+             Range<int>{0})
+      .Value("--write-frac", "F", &f->synth.write_frac, "P(an access is a write) (default 0.5)",
+             kProbability)
+      .Value("--locality", "F", &f->synth.locality, "P(an access stays local) (default 0.8)",
+             kProbability)
+      .Value("--compute-ns", "N", &f->synth.compute_ns,
+             "mean compute between accesses (default 2000)", Range<int64_t>{0})
+      .Value("--seed", "N", &f->synth.seed, "seed (default 42)", Range<uint64_t>{})
+      .Marks(&f->seed_given)
+      .Value("--node", "N", &f->node, "dump only this node (default: all)", Range<int>{0})
+      .Value("--limit", "N", &f->limit, "dump at most N records (default: all)",
+             Range<int64_t>{0});
 }
 
 void PrintRunVitals(const System& sys, const App& app, bool verified,
@@ -168,33 +123,20 @@ void PrintRunVitals(const System& sys, const App& app, bool verified,
               verified ? "OK" : "FAILED ", verified ? "" : why.c_str());
 }
 
-int CmdRecord(const Flags& f) {
+int CmdRecord(const Options& f, const FlagTable& flags) {
   if (f.app.empty() || f.out_path.empty()) {
-    std::fprintf(stderr, "record needs --app and --out\n");
-    Usage();
+    flags.UsageError("record needs --app and --out");
   }
-  ProtocolKind kind;
-  if (!ParseProtocol(f.protocol, &kind)) {
-    std::fprintf(stderr, "unknown protocol '%s'\n", f.protocol.c_str());
-    return 2;
-  }
+  const ProtocolKind kind = f.protocol;
   SimConfig cfg;
-  cfg.nodes = f.nodes;
-  cfg.page_size = f.page_size;
+  cfg.nodes = f.synth.nodes;
+  cfg.page_size = f.synth.page_size;
   cfg.shared_bytes = 256ll << 20;
-  cfg.seed = f.seed;
+  cfg.seed = f.synth.seed;
   cfg.protocol.kind = kind;
   Rng root(cfg.seed);
   const uint64_t app_seed = root.NextU64();
-  auto app = f.seed_set ? TryMakeApp(f.app, f.scale, app_seed) : TryMakeApp(f.app, f.scale);
-  if (app == nullptr) {
-    std::fprintf(stderr, "unknown app '%s'; registered apps:", f.app.c_str());
-    for (const std::string& name : RegisteredAppNames()) {
-      std::fprintf(stderr, " %s", name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 2;
-  }
+  auto app = f.seed_given ? MakeApp(f.app, f.scale, app_seed) : MakeApp(f.app, f.scale);
   ExitIfInvalid(*app, cfg);
 
   System sys(cfg);
@@ -214,15 +156,9 @@ int CmdRecord(const Flags& f) {
   return verified ? 0 : 1;
 }
 
-int CmdReplay(const Flags& f) {
+int CmdReplay(const Options& f, const FlagTable& flags) {
   if (f.in_path.empty()) {
-    std::fprintf(stderr, "replay needs --in\n");
-    Usage();
-  }
-  ProtocolKind kind;
-  if (!ParseProtocol(f.protocol, &kind)) {
-    std::fprintf(stderr, "unknown protocol '%s'\n", f.protocol.c_str());
-    return 2;
+    flags.UsageError("replay needs --in");
   }
   std::string err;
   auto app = wkld::TraceReplayApp::Open(f.in_path, &err);
@@ -231,10 +167,11 @@ int CmdReplay(const Flags& f) {
     return 2;
   }
   SimConfig cfg;
-  cfg.nodes = f.nodes_set ? f.nodes : app->info().nodes;
-  cfg.page_size = f.page_size_set ? f.page_size : app->info().page_size;
+  cfg.nodes = f.nodes_given ? f.synth.nodes : app->info().nodes;
+  cfg.page_size = f.page_size_given ? f.synth.page_size : app->info().page_size;
   cfg.shared_bytes = app->info().shared_bytes > 0 ? app->info().shared_bytes : 256ll << 20;
-  cfg.protocol.kind = kind;
+  cfg.protocol.kind = f.protocol;
+  ExitIfInvalid(*app, cfg);
   System sys(cfg);
   app->Setup(sys);
   sys.Run(app->Program());
@@ -244,29 +181,25 @@ int CmdReplay(const Flags& f) {
   return verified ? 0 : 1;
 }
 
-int CmdGen(const Flags& f) {
+int CmdGen(const Options& f, const FlagTable& flags) {
   if (f.pattern.empty() || f.out_path.empty()) {
-    std::fprintf(stderr, "gen needs --pattern and --out\n");
-    Usage();
+    flags.UsageError("gen needs --pattern and --out");
   }
-  wkld::SynthConfig cfg;
-  if (!wkld::ParseSynthPattern(f.pattern, &cfg.pattern)) {
-    std::fprintf(stderr, "unknown pattern '%s'; patterns:", f.pattern.c_str());
-    for (const std::string& p : wkld::SynthPatternNames()) {
-      std::fprintf(stderr, " %s", p.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 2;
+  wkld::SynthConfig cfg = f.synth;
+  wkld::ParseSynthPattern(f.pattern, &cfg.pattern);  // --pattern checked the name.
+  // The trace must replay: check the machine it targets and the generator's
+  // own limits before writing anything.
+  SimConfig machine;
+  machine.nodes = cfg.nodes;
+  machine.page_size = cfg.page_size;
+  machine.shared_bytes = cfg.shared_bytes;
+  std::string why = ValidateConfig(machine);
+  if (why.empty()) {
+    why = wkld::ValidateSynthConfig(cfg);
   }
-  cfg.nodes = f.nodes;
-  cfg.page_size = f.page_size;
-  cfg.pages_per_node = f.pages_per_node;
-  cfg.iterations = f.iterations;
-  cfg.ops_per_iter = f.ops;
-  cfg.write_frac = f.write_frac;
-  cfg.locality = f.locality;
-  cfg.compute_ns = f.compute_ns;
-  cfg.seed = f.seed;
+  if (!why.empty()) {
+    flags.UsageError(why);
+  }
   wkld::WriteSyntheticTrace(f.out_path, cfg);
   std::printf("synthetic %s trace written to %s (%d nodes, %d iterations, seed %" PRIu64
               ")\n",
@@ -274,12 +207,9 @@ int CmdGen(const Flags& f) {
   return 0;
 }
 
-const char* KindLabel(Record::Kind kind) { return wkld::RecordKindName(kind); }
-
-int CmdStats(const Flags& f) {
+int CmdStats(const Options& f, const FlagTable& flags) {
   if (f.in_path.empty()) {
-    std::fprintf(stderr, "stats needs --in\n");
-    Usage();
+    flags.UsageError("stats needs --in");
   }
   std::string err;
   auto reader = wkld::TraceReader::Open(f.in_path, &err);
@@ -330,10 +260,9 @@ int CmdStats(const Flags& f) {
   return 0;
 }
 
-int CmdCat(const Flags& f) {
+int CmdCat(const Options& f, const FlagTable& flags) {
   if (f.in_path.empty()) {
-    std::fprintf(stderr, "cat needs --in\n");
-    Usage();
+    flags.UsageError("cat needs --in");
   }
   std::string err;
   auto reader = wkld::TraceReader::Open(f.in_path, &err);
@@ -363,7 +292,7 @@ int CmdCat(const Flags& f) {
         return 0;
       }
       ++printed;
-      std::printf("[%d] %s", node, KindLabel(rec.kind));
+      std::printf("[%d] %s", node, wkld::RecordKindName(rec.kind));
       switch (rec.kind) {
         case Record::Kind::kCompute:
           std::printf(" %" PRId64 " ns", rec.duration_ns);
@@ -399,19 +328,20 @@ int CmdCat(const Flags& f) {
 }
 
 int Main(int argc, char** argv) {
-  if (argc < 2) {
-    Usage();
+  Options f;
+  FlagTable flags(kTool);
+  AddFlags(&flags, &f);
+  std::vector<std::string> cmd;
+  flags.ParseOrExit(argc, argv, 1, &cmd);
+  if (cmd.size() != 1) {
+    flags.UsageError("expected one command: record | replay | gen | stats | cat");
   }
-  const std::string cmd = argv[1];
-  HandleCommonFlag(kTool, cmd);  // `svmwkld --help` / `--version` with no command.
-  const Flags f = ParseFlags(argc, argv, 2);
-  if (cmd == "record") return CmdRecord(f);
-  if (cmd == "replay") return CmdReplay(f);
-  if (cmd == "gen") return CmdGen(f);
-  if (cmd == "stats") return CmdStats(f);
-  if (cmd == "cat") return CmdCat(f);
-  std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-  Usage();
+  if (cmd[0] == "record") return CmdRecord(f, flags);
+  if (cmd[0] == "replay") return CmdReplay(f, flags);
+  if (cmd[0] == "gen") return CmdGen(f, flags);
+  if (cmd[0] == "stats") return CmdStats(f, flags);
+  if (cmd[0] == "cat") return CmdCat(f, flags);
+  flags.UsageError("unknown command '" + cmd[0] + "'");
 }
 
 }  // namespace
