@@ -76,20 +76,28 @@ void BM_TwinCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_TwinCopy);
 
+// The first argument picks the kernel: 0 times the optimized CreateDiff, 1
+// the word-at-a-time CreateDiffReference it replaced (the differential oracle
+// of test_diff_fast), so each dirty-word count reports both side by side.
 void BM_DiffCreate(benchmark::State& state) {
-  const int64_t dirty_words = state.range(0);
+  const bool reference = state.range(0) != 0;
+  const int64_t dirty_words = state.range(1);
   std::vector<std::byte> twin(kPage, std::byte{0});
   std::vector<std::byte> cur = twin;
   Rng rng(7);
   for (int64_t i = 0; i < dirty_words; ++i) {
     cur[rng.NextBounded(kPage / 8) * 8] = std::byte{0xff};
   }
+  const auto kernel = reference ? CreateDiffReference : CreateDiff;
   for (auto _ : state) {
-    Diff d = CreateDiff(0, twin.data(), cur.data(), kPage, 8);
+    Diff d = kernel(0, twin.data(), cur.data(), kPage, 8);
     benchmark::DoNotOptimize(d);
   }
+  state.SetLabel(reference ? "CreateDiffReference" : "CreateDiff");
 }
-BENCHMARK(BM_DiffCreate)->Arg(0)->Arg(16)->Arg(256)->Arg(1024);
+BENCHMARK(BM_DiffCreate)
+    ->ArgsProduct({{0, 1}, {0, 16, 256, 1024}})
+    ->ArgNames({"reference", "dirty_words"});
 
 void BM_DiffApply(benchmark::State& state) {
   const int64_t dirty_words = state.range(0);

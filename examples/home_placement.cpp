@@ -5,10 +5,11 @@
 // home decides whether updates travel zero, one or two network hops — the
 // "home effect" of paper §4.4. This example measures all three placements.
 //
-// Build & run:  ./build/examples/home_placement [nodes]
+// Build & run:  ./build/examples/home_placement [--nodes=N]
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
+#include "src/common/cli.h"
 #include "src/common/table.h"
 #include "src/svm/system.h"
 
@@ -22,7 +23,16 @@ constexpr int kPhases = 12;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int nodes = argc > 1 ? std::atoi(argv[1]) : 8;
+  int nodes = 8;
+  FlagTable flags(ToolInfo{"home_placement", "Producer/consumer ring under three home policies."});
+  flags.Value("--nodes", "N", &nodes, "node count (default 8)", Range<int>{1, kMaxNodes});
+  flags.ParseOrExit(argc, argv);
+  SimConfig base;
+  base.nodes = nodes;
+  base.protocol.kind = ProtocolKind::kHlrc;
+  if (const std::string why = ValidateConfig(base); !why.empty()) {
+    flags.UsageError(why);
+  }
 
   Table table("Producer/consumer ring, " + std::to_string(nodes) + " nodes");
   table.SetHeader({"Home policy", "Time (ms)", "Page fetches", "Diff flushes (msgs)",
@@ -30,9 +40,7 @@ int main(int argc, char** argv) {
 
   for (HomePolicy policy :
        {HomePolicy::kBlock, HomePolicy::kRoundRobin, HomePolicy::kSingleNode}) {
-    SimConfig config;
-    config.nodes = nodes;
-    config.protocol.kind = ProtocolKind::kHlrc;
+    SimConfig config = base;
     config.protocol.home_policy = policy;
     System system(config);
     const GlobalAddr blocks =

@@ -6,11 +6,12 @@
 // execution time, message counts, traffic and protocol memory side by side —
 // a miniature of the paper's whole evaluation.
 //
-// Build & run:  ./build/examples/protocol_comparison [nodes]
+// Build & run:  ./build/examples/protocol_comparison [--nodes=N]
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "src/common/cli.h"
 #include "src/common/table.h"
 #include "src/svm/system.h"
 
@@ -70,7 +71,16 @@ Task<void> Stencil(NodeContext& ctx, GlobalAddr grid_a, GlobalAddr grid_b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int nodes = argc > 1 ? std::atoi(argv[1]) : 16;
+  int nodes = 16;
+  FlagTable flags(ToolInfo{"protocol_comparison", "Heat-diffusion stencil, six protocols."});
+  // Each node owns at least one grid row.
+  flags.Value("--nodes", "N", &nodes, "node count (default 16)", Range<int>{1, kRows});
+  flags.ParseOrExit(argc, argv);
+  SimConfig base;
+  base.nodes = nodes;
+  if (const std::string why = ValidateConfig(base); !why.empty()) {
+    flags.UsageError(why);
+  }
 
   Table table("Heat-diffusion stencil, " + std::to_string(nodes) + " nodes, " +
               std::to_string(kRows) + "x" + std::to_string(kCols));
@@ -79,8 +89,7 @@ int main(int argc, char** argv) {
 
   for (ProtocolKind kind : {ProtocolKind::kErc, ProtocolKind::kLrc, ProtocolKind::kOlrc,
                             ProtocolKind::kHlrc, ProtocolKind::kOhlrc, ProtocolKind::kAurc}) {
-    SimConfig config;
-    config.nodes = nodes;
+    SimConfig config = base;
     config.protocol.kind = kind;
     System system(config);
     const GlobalAddr grid_a = system.space().AllocPageAligned(kRows * kCols * 8);

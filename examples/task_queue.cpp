@@ -7,11 +7,12 @@
 // Shows: locks with real contention, fine-grained false sharing (all result
 // slots live on one page), and how to read the per-node breakdown report.
 //
-// Build & run:  ./build/examples/task_queue [nodes] [jobs]
+// Build & run:  ./build/examples/task_queue [--nodes=N] [--jobs=N]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
+#include "src/common/cli.h"
 #include "src/svm/system.h"
 
 using namespace hlrc;
@@ -24,13 +25,20 @@ double F(double x) { return 4.0 / (1.0 + x * x); }  // Integral over [0,1] = pi.
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int nodes = argc > 1 ? std::atoi(argv[1]) : 8;
-  const int jobs = argc > 2 ? std::atoi(argv[2]) : 256;
+  int nodes = 8;
+  int jobs = 256;
+  FlagTable flags(ToolInfo{"task_queue", "A lock-protected task farm integrating pi."});
+  flags.Value("--nodes", "N", &nodes, "node count (default 8)", Range<int>{1, kMaxNodes})
+      .Value("--jobs", "N", &jobs, "jobs in the shared queue (default 256)", Range<int>{1});
+  flags.ParseOrExit(argc, argv);
   constexpr int kSamplesPerJob = 2000;
 
   SimConfig config;
   config.nodes = nodes;
   config.protocol.kind = ProtocolKind::kOhlrc;
+  if (const std::string why = ValidateConfig(config); !why.empty()) {
+    flags.UsageError(why);
+  }
   System system(config);
 
   // Shared state: queue head index + per-node partial sums (false sharing:

@@ -26,7 +26,13 @@ class App {
   virtual std::string name() const = 0;
 
   // Allocates shared memory; called once before System::Run.
-  virtual void Setup(System& sys) = 0;
+  void Setup(System& sys) { Allocate(sys.space(), sys.config()); }
+
+  // Setup's allocations for a machine configured by `config`. They only
+  // reserve addresses (node 0 writes the data in Program), so ValidateRun
+  // can size a run against a bare SharedSpace before any System exists;
+  // a second call on a fresh space must yield the same layout.
+  virtual void Allocate(SharedSpace& space, const SimConfig& config) = 0;
 
   // The per-node program. Node 0 initializes shared data before barrier 0.
   virtual System::Program Program() = 0;
@@ -67,14 +73,14 @@ std::unique_ptr<App> MakeApp(const std::string& name, AppScale scale,
 std::unique_ptr<App> TryMakeApp(const std::string& name, AppScale scale,
                                 std::optional<uint64_t> seed = std::nullopt);
 
-// Why `app` cannot run under `config` — ValidateConfig, then App::Validate —
-// or empty when it can.
-std::string ValidateRun(const App& app, const SimConfig& config);
+// Why `app` cannot run under `config` — ValidateConfig, then App::Validate,
+// then whether its allocations fit the shared space — or empty when it can.
+std::string ValidateRun(App& app, const SimConfig& config);
 
 // Ends the process with exit status 2, after printing ValidateRun's reason
 // to stderr, if there is one: bad input, not a failed run.
 // Flushes stdout and runs no destructors, so it is safe on a worker thread.
-void ExitIfInvalid(const App& app, const SimConfig& config);
+void ExitIfInvalid(App& app, const SimConfig& config);
 
 // The five benchmark names evaluated in the paper, in its order.
 const std::vector<std::string>& AppNames();

@@ -14,11 +14,11 @@ bool IsPow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 
 }  // namespace
 
-void FftApp::Setup(System& sys) {
+void FftApp::Allocate(SharedSpace& space, const SimConfig& /*config*/) {
   HLRC_CHECK(IsPow2(cfg_.n));
   const int64_t bytes = static_cast<int64_t>(cfg_.n) * cfg_.n * static_cast<int64_t>(sizeof(Cplx));
-  a_ = sys.space().AllocPageAligned(bytes);
-  b_ = sys.space().AllocPageAligned(bytes);
+  a_ = space.AllocPageAligned(bytes);
+  b_ = space.AllocPageAligned(bytes);
 }
 
 FftApp::Cplx FftApp::InitValue(int i, int j) const {

@@ -26,7 +26,7 @@ class FftApp : public App {
   explicit FftApp(const FftConfig& cfg) : cfg_(cfg) {}
 
   std::string name() const override { return "FFT"; }
-  void Setup(System& sys) override;
+  void Allocate(SharedSpace& space, const SimConfig& config) override;
   System::Program Program() override;
   bool Verify(System& sys, std::string* why) override;
 

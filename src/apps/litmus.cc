@@ -1,5 +1,6 @@
 #include "src/apps/litmus.h"
 
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
@@ -55,10 +56,10 @@ class MessagePassingLitmus : public LitmusBase {
   using LitmusBase::LitmusBase;
   std::string name() const override { return "message-passing"; }
 
-  void Setup(System& sys) override {
-    page_size_ = sys.config().page_size;
-    data_ = sys.space().AllocPageAligned(cfg_.nodes * page_size_);
-    flag_ = sys.space().AllocPageAligned(cfg_.nodes * page_size_);
+  void Allocate(SharedSpace& space, const SimConfig& config) override {
+    page_size_ = config.page_size;
+    data_ = space.AllocPageAligned(cfg_.nodes * page_size_);
+    flag_ = space.AllocPageAligned(cfg_.nodes * page_size_);
   }
 
  protected:
@@ -107,9 +108,9 @@ class StoreBufferLitmus : public LitmusBase {
   using LitmusBase::LitmusBase;
   std::string name() const override { return "store-buffer"; }
 
-  void Setup(System& sys) override {
-    page_size_ = sys.config().page_size;
-    x_ = sys.space().AllocPageAligned(cfg_.nodes * page_size_);
+  void Allocate(SharedSpace& space, const SimConfig& config) override {
+    page_size_ = config.page_size;
+    x_ = space.AllocPageAligned(cfg_.nodes * page_size_);
   }
 
  protected:
@@ -146,9 +147,9 @@ class LockHandoffLitmus : public LitmusBase {
   using LitmusBase::LitmusBase;
   std::string name() const override { return "lock-handoff"; }
 
-  void Setup(System& sys) override {
-    page_size_ = sys.config().page_size;
-    ctr_ = sys.space().AllocPageAligned(2 * page_size_);
+  void Allocate(SharedSpace& space, const SimConfig& config) override {
+    page_size_ = config.page_size;
+    ctr_ = space.AllocPageAligned(2 * page_size_);
   }
 
  protected:
@@ -191,10 +192,10 @@ class BarrierPropagationLitmus : public LitmusBase {
   using LitmusBase::LitmusBase;
   std::string name() const override { return "barrier-propagation"; }
 
-  void Setup(System& sys) override {
-    page_size_ = sys.config().page_size;
+  void Allocate(SharedSpace& space, const SimConfig& config) override {
+    page_size_ = config.page_size;
     words_ = static_cast<int>(page_size_ / 8);
-    a_ = sys.space().AllocPageAligned(cfg_.nodes * page_size_);
+    a_ = space.AllocPageAligned(cfg_.nodes * page_size_);
   }
 
  protected:
@@ -236,9 +237,18 @@ class FalseSharingLitmus : public LitmusBase {
   using LitmusBase::LitmusBase;
   std::string name() const override { return "false-sharing"; }
 
-  void Setup(System& sys) override {
-    HLRC_CHECK(cfg_.nodes * 8 <= sys.config().page_size);
-    w_ = sys.space().AllocPageAligned(sys.config().page_size);
+  std::string Validate(const SimConfig& config) const override {
+    if (cfg_.nodes * 8 <= config.page_size) {
+      return "";
+    }
+    // Every node's word sits on one page.
+    return "false-sharing needs 8 * nodes <= page size, got 8 * " + std::to_string(cfg_.nodes) +
+           " > " + std::to_string(config.page_size);
+  }
+
+  void Allocate(SharedSpace& space, const SimConfig& config) override {
+    HLRC_CHECK(cfg_.nodes * 8 <= config.page_size);
+    w_ = space.AllocPageAligned(config.page_size);
   }
 
  protected:

@@ -40,10 +40,21 @@ class LitmusTest {
   virtual std::string name() const = 0;
 
   // Allocates shared memory; called once before System::Run.
-  virtual void Setup(System& sys) = 0;
+  void Setup(System& sys) { Allocate(sys.space(), sys.config()); }
+
+  // Setup's allocations for a machine configured by `config`. They only
+  // reserve addresses, so ValidateWorkload can size a sweep against a bare
+  // SharedSpace before any System exists; a second call on a fresh space
+  // must yield the same layout.
+  virtual void Allocate(SharedSpace& space, const SimConfig& config) = 0;
 
   // The per-node program.
   virtual System::Program Program() = 0;
+
+  // Checks the litmus's preconditions on a machine configuration before any
+  // System is built. Returns an empty string if it can run under `config`,
+  // otherwise a one-line reason.
+  virtual std::string Validate(const SimConfig& /*config*/) const { return ""; }
 };
 
 // The unique value written by `node` in `round` at `slot` (never 0; 0 is the

@@ -77,10 +77,10 @@ double InitValue(uint64_t seed, int i, int j, int n) {
 
 }  // namespace
 
-void LuApp::Setup(System& sys) {
+void LuApp::Allocate(SharedSpace& space, const SimConfig& /*config*/) {
   HLRC_CHECK(cfg_.n % cfg_.block == 0);
   block_bytes_ = static_cast<int64_t>(cfg_.block) * cfg_.block * 8;
-  matrix_ = sys.space().AllocPageAligned(static_cast<int64_t>(cfg_.n) * cfg_.n * 8);
+  matrix_ = space.AllocPageAligned(static_cast<int64_t>(cfg_.n) * cfg_.n * 8);
 }
 
 GlobalAddr LuApp::BlockAddr(int bi, int bj) const {

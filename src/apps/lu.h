@@ -21,7 +21,7 @@ class LuApp : public App {
   explicit LuApp(const LuConfig& cfg) : cfg_(cfg) {}
 
   std::string name() const override { return "LU"; }
-  void Setup(System& sys) override;
+  void Allocate(SharedSpace& space, const SimConfig& config) override;
   System::Program Program() override;
   bool Verify(System& sys, std::string* why) override;
 

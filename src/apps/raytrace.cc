@@ -25,14 +25,13 @@ Vec Norm(Vec a) {
 
 }  // namespace
 
-void RaytraceApp::Setup(System& sys) {
+void RaytraceApp::Allocate(SharedSpace& space, const SimConfig& config) {
   HLRC_CHECK(cfg_.width % cfg_.tile == 0 && cfg_.height % cfg_.tile == 0);
-  scene_ = sys.space().AllocPageAligned(static_cast<int64_t>(cfg_.spheres) * 64);
-  image_ = sys.space().AllocPageAligned(static_cast<int64_t>(cfg_.width) * cfg_.height * 4);
+  scene_ = space.AllocPageAligned(static_cast<int64_t>(cfg_.spheres) * 64);
+  image_ = space.AllocPageAligned(static_cast<int64_t>(cfg_.width) * cfg_.height * 4);
   // One queue per node, sized to hold every tile: [head, tail, entries...].
   queue_ints_ = 2 + NumTiles();
-  queues_ = sys.space().AllocPageAligned(static_cast<int64_t>(queue_ints_) * 4 *
-                                         sys.config().nodes);
+  queues_ = space.AllocPageAligned(static_cast<int64_t>(queue_ints_) * 4 * config.nodes);
 }
 
 GlobalAddr RaytraceApp::QueueAddr(NodeId q) const {

@@ -25,7 +25,7 @@ class RaytraceApp : public App {
   explicit RaytraceApp(const RaytraceConfig& cfg) : cfg_(cfg) {}
 
   std::string name() const override { return "Raytrace"; }
-  void Setup(System& sys) override;
+  void Allocate(SharedSpace& space, const SimConfig& config) override;
   System::Program Program() override;
   bool Verify(System& sys, std::string* why) override;
 

@@ -68,12 +68,14 @@ std::unique_ptr<App> MakeApp(const std::string& name, AppScale scale,
   return app;
 }
 
-std::string ValidateRun(const App& app, const SimConfig& config) {
-  std::string why = ValidateConfig(config);
-  return why.empty() ? app.Validate(config) : why;
+std::string ValidateRun(App& app, const SimConfig& config) {
+  if (std::string why = ValidateConfig(config); !why.empty()) {
+    return why;
+  }
+  return ValidateWorkload(app, config);
 }
 
-void ExitIfInvalid(const App& app, const SimConfig& config) {
+void ExitIfInvalid(App& app, const SimConfig& config) {
   if (const std::string why = ValidateRun(app, config); !why.empty()) {
     std::fprintf(stderr, "%s\n", why.c_str());
     std::fflush(stdout);

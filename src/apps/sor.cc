@@ -34,10 +34,10 @@ void SweepRows(double* dst, const double* src, int cols, int first, int last, in
 
 }  // namespace
 
-void SorApp::Setup(System& sys) {
+void SorApp::Allocate(SharedSpace& space, const SimConfig& /*config*/) {
   const int64_t bytes = static_cast<int64_t>(cfg_.rows) * cfg_.cols * 8;
-  red_ = sys.space().AllocPageAligned(bytes);
-  black_ = sys.space().AllocPageAligned(bytes);
+  red_ = space.AllocPageAligned(bytes);
+  black_ = space.AllocPageAligned(bytes);
 }
 
 GlobalAddr SorApp::RowAddr(GlobalAddr base, int row) const {

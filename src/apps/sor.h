@@ -23,7 +23,7 @@ class SorApp : public App {
   explicit SorApp(const SorConfig& cfg) : cfg_(cfg) {}
 
   std::string name() const override { return "SOR"; }
-  void Setup(System& sys) override;
+  void Allocate(SharedSpace& space, const SimConfig& config) override;
   System::Program Program() override;
   bool Verify(System& sys, std::string* why) override;
 

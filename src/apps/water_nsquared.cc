@@ -49,11 +49,11 @@ std::string WaterNsqApp::Validate(const SimConfig& config) const {
   return "";
 }
 
-void WaterNsqApp::Setup(System& sys) {
+void WaterNsqApp::Allocate(SharedSpace& space, const SimConfig& /*config*/) {
   const int64_t arr = static_cast<int64_t>(cfg_.molecules) * 3 * 8;
-  pos_ = sys.space().AllocPageAligned(arr);
-  vel_ = sys.space().AllocPageAligned(arr);
-  frc_ = sys.space().AllocPageAligned(arr);
+  pos_ = space.AllocPageAligned(arr);
+  vel_ = space.AllocPageAligned(arr);
+  frc_ = space.AllocPageAligned(arr);
 }
 
 void WaterNsqApp::InitMolecules(double* pos, double* vel) const {

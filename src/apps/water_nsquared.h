@@ -25,7 +25,7 @@ class WaterNsqApp : public App {
   explicit WaterNsqApp(const WaterNsqConfig& cfg) : cfg_(cfg) {}
 
   std::string name() const override { return "Water-Nsquared"; }
-  void Setup(System& sys) override;
+  void Allocate(SharedSpace& space, const SimConfig& config) override;
   System::Program Program() override;
   bool Verify(System& sys, std::string* why) override;
   std::string Validate(const SimConfig& config) const override;

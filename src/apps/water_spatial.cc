@@ -15,12 +15,12 @@ constexpr int kLockBase = 300;  // Per-partition cell-directory locks.
 
 }  // namespace
 
-void WaterSpApp::Setup(System& sys) {
+void WaterSpApp::Allocate(SharedSpace& space, const SimConfig& /*config*/) {
   const int64_t arr = static_cast<int64_t>(cfg_.molecules) * 3 * 8;
-  pos_ = sys.space().AllocPageAligned(arr);
-  vel_ = sys.space().AllocPageAligned(arr);
-  frc_ = sys.space().AllocPageAligned(arr);
-  cells_ = sys.space().AllocPageAligned(static_cast<int64_t>(NumCells()) * CellInts() * 4);
+  pos_ = space.AllocPageAligned(arr);
+  vel_ = space.AllocPageAligned(arr);
+  frc_ = space.AllocPageAligned(arr);
+  cells_ = space.AllocPageAligned(static_cast<int64_t>(NumCells()) * CellInts() * 4);
 }
 
 int WaterSpApp::CellOfPos(const double* p) const {

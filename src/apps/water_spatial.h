@@ -27,7 +27,7 @@ class WaterSpApp : public App {
   explicit WaterSpApp(const WaterSpConfig& cfg) : cfg_(cfg) {}
 
   std::string name() const override { return "Water-Spatial"; }
-  void Setup(System& sys) override;
+  void Allocate(SharedSpace& space, const SimConfig& config) override;
   System::Program Program() override;
   bool Verify(System& sys, std::string* why) override;
 

@@ -63,7 +63,8 @@ Diff CreateDiff(PageId page, const std::byte* twin, const std::byte* current,
 
 // The pre-optimization implementation (per-word memcmp, no clean-page
 // short-circuit). Kept as the differential-testing oracle for CreateDiff and
-// as the baseline for bench/perf_wallclock; must produce byte-identical runs.
+// as the baseline kernel of table3_basic_costs' BM_DiffCreate; must produce
+// byte-identical runs.
 Diff CreateDiffReference(PageId page, const std::byte* twin, const std::byte* current,
                          int64_t page_bytes, int word_bytes);
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,7 +34,10 @@ class SharedSpace {
     HLRC_CHECK(space_bytes % page_size == 0);
   }
 
-  // Allocates `bytes`, 16-byte aligned. Aborts if the space is exhausted.
+  // Allocates `bytes`, 16-byte aligned. An allocation past the end of the
+  // space still succeeds, so an allocation plan can be sized against a bare
+  // space (ValidateWorkload); OverflowReason reports it, and System::Run refuses
+  // to start on it.
   GlobalAddr Alloc(int64_t bytes) { return AllocInternal(bytes, /*page_aligned=*/false); }
 
   // Allocates `bytes` starting on a fresh page boundary: used to give arrays
@@ -67,14 +71,21 @@ class SharedSpace {
   int64_t space_bytes() const { return space_bytes_; }
   int64_t page_size() const { return page_size_; }
 
+  // Empty while every allocation fits the space; otherwise a one-line reason
+  // naming the bytes `who` needs and the bytes the space has.
+  std::string OverflowReason(const std::string& who) const {
+    if (AllocatedBytes() <= space_bytes_) {
+      return "";
+    }
+    return who + " needs " + std::to_string(AllocatedBytes()) + " bytes of shared space with " +
+           std::to_string(page_size_) + "-byte pages, but the space has " +
+           std::to_string(space_bytes_);
+  }
+
  private:
   GlobalAddr AllocInternal(int64_t bytes, bool page_aligned) {
     next_ = (next_ + 15) & ~static_cast<GlobalAddr>(15);
     const GlobalAddr addr = next_;
-    HLRC_CHECK_MSG(static_cast<int64_t>(addr) + bytes <= space_bytes_,
-                   "shared space exhausted: need %lld more bytes",
-                   static_cast<long long>(addr + static_cast<GlobalAddr>(bytes)) -
-                       static_cast<long long>(space_bytes_));
     next_ += static_cast<GlobalAddr>(bytes);
     RecordAllocation(addr, bytes);
     if (alloc_hook_) {
@@ -101,6 +112,20 @@ class SharedSpace {
   std::vector<Allocation> allocations_;
   AllocHook alloc_hook_;
 };
+
+// Why `workload` (an App or a LitmusTest) cannot run under `config`, or
+// empty when it can: its own Validate, then whether its allocation plan fits,
+// replayed on a bare space (its Allocate only reserves addresses). Called
+// before any System exists; the machine itself is ValidateConfig's to check.
+template <typename Workload, typename Config>
+std::string ValidateWorkload(Workload& workload, const Config& config) {
+  if (std::string why = workload.Validate(config); !why.empty()) {
+    return why;
+  }
+  SharedSpace plan(config.shared_bytes, config.page_size);
+  workload.Allocate(plan, config);
+  return plan.OverflowReason(workload.name());
+}
 
 }  // namespace hlrc
 

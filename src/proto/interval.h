@@ -62,26 +62,6 @@ struct IntervalRecord {
   int64_t cached_size_without_vt = -1;
 };
 
-// Key identifying one interval of one writer.
-struct IntervalKey {
-  NodeId writer;
-  uint32_t id;
-
-  bool operator==(const IntervalKey& o) const { return writer == o.writer && id == o.id; }
-  bool operator<(const IntervalKey& o) const {
-    if (writer != o.writer) {
-      return writer < o.writer;
-    }
-    return id < o.id;
-  }
-};
-
-struct IntervalKeyHash {
-  size_t operator()(const IntervalKey& k) const {
-    return static_cast<size_t>(k.writer) * 1000003u + k.id;
-  }
-};
-
 }  // namespace hlrc
 
 #endif  // SRC_PROTO_INTERVAL_H_

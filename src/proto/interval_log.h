@@ -1,7 +1,7 @@
 // Per-writer append-only log of shared, immutable interval records.
 //
 // The metadata fast path (docs/PERFORMANCE.md): instead of one global
-// std::map<IntervalKey, IntervalRecord> per node that deep-copies records
+// std::map keyed by (writer, id) per node that deep-copies records
 // into every lock-grant and barrier-release payload, each node keeps one
 // contiguous, id-sorted log per writer holding shared_ptr<const
 // IntervalRecord> handles.
@@ -54,8 +54,7 @@ class IntervalLog {
 
   // Appends every record `vt` has not seen to `out`: writers ascending, ids
   // ascending within a writer — exactly the iteration order of the previous
-  // std::map<IntervalKey, ...> representation, which the golden summaries
-  // pin.
+  // map keyed by (writer, id), which the golden summaries pin.
   void PackInto(const VectorClock& vt, IntervalBatch* out) const;
   IntervalBatch PackFor(const VectorClock& vt) const {
     IntervalBatch out;

@@ -1,6 +1,7 @@
 #include "src/svm/system.h"
 
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
@@ -269,6 +270,8 @@ SpanTracer* System::EnableSpans(size_t capacity) {
 void System::Run(const Program& program) {
   HLRC_CHECK_MSG(!ran_, "System::Run may only be called once");
   ran_ = true;
+  const std::string overflow = space_->OverflowReason("the program");
+  HLRC_CHECK_MSG(overflow.empty(), "%s", overflow.c_str());
 
   const int used_pages = static_cast<int>(
       (space_->AllocatedBytes() + config_.page_size - 1) / config_.page_size);

@@ -201,7 +201,8 @@ class System {
   void SetCoverageObserver(CoverageObserver* cov);
 
   // Runs `program` on every node to completion. Aborts with a diagnostic if
-  // the programs deadlock (event queue drained with unfinished programs).
+  // the allocations outgrew the shared space, or if the programs deadlock
+  // (event queue drained with unfinished programs).
   void Run(const Program& program);
 
   const RunReport& report() const { return report_; }

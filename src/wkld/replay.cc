@@ -1,6 +1,8 @@
 #include "src/wkld/replay.h"
 
+#include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "src/common/check.h"
 
@@ -57,24 +59,44 @@ std::unique_ptr<TraceReplayApp> TraceReplayApp::Open(const std::string& path,
   return app;
 }
 
-void TraceReplayApp::Setup(System& sys) {
+std::string TraceReplayApp::Validate(const SimConfig& config) const {
   const TraceInfo& info = reader_->info();
-  HLRC_CHECK_MSG(sys.config().nodes == info.nodes,
-                 "trace %s was recorded with %d nodes but the system has %d: a file "
-                 "trace replays only at its recorded node count (its barriers would "
-                 "deadlock otherwise); use a synthetic workload for node-count sweeps",
-                 path_.c_str(), info.nodes, sys.config().nodes);
+  if (config.nodes != info.nodes) {
+    return "trace " + path_ + " was recorded with " + std::to_string(info.nodes) +
+           " nodes but the system has " + std::to_string(config.nodes) +
+           ": a file trace replays only at its recorded node count (its barriers would "
+           "deadlock otherwise); use a synthetic workload for node-count sweeps";
+  }
+  SharedSpace plan(config.shared_bytes, config.page_size);
+  return PlaceAllocs(plan);
+}
+
+std::string TraceReplayApp::PlaceAllocs(SharedSpace& space) const {
+  const TraceInfo& info = reader_->info();
   for (const AllocEntry& a : info.allocs) {
     const GlobalAddr addr =
-        a.page_aligned ? sys.space().AllocPageAligned(a.bytes) : sys.space().Alloc(a.bytes);
-    HLRC_CHECK_MSG(addr == a.addr,
-                   "replay allocation landed at 0x%llx, trace %s recorded 0x%llx: the "
-                   "shared-space layout shifted (usually a page-size mismatch: trace "
-                   "was recorded with page_size=%lld)",
-                   static_cast<unsigned long long>(addr), path_.c_str(),
-                   static_cast<unsigned long long>(a.addr),
-                   static_cast<long long>(info.page_size));
+        a.page_aligned ? space.AllocPageAligned(a.bytes) : space.Alloc(a.bytes);
+    if (addr != a.addr) {
+      char why[256];
+      std::snprintf(why, sizeof(why),
+                    "replay allocation landed at 0x%llx, trace recorded 0x%llx: the "
+                    "shared-space layout shifted (usually a page-size mismatch: trace "
+                    "was recorded with page_size=%lld)",
+                    static_cast<unsigned long long>(addr),
+                    static_cast<unsigned long long>(a.addr),
+                    static_cast<long long>(info.page_size));
+      return "trace " + path_ + ": " + why;
+    }
   }
+  return "";
+}
+
+void TraceReplayApp::Allocate(SharedSpace& space, const SimConfig& config) {
+  const TraceInfo& info = reader_->info();
+  HLRC_CHECK_MSG(config.nodes == info.nodes, "trace %s was recorded with %d nodes but the "
+                 "system has %d", path_.c_str(), info.nodes, config.nodes);
+  const std::string layout = PlaceAllocs(space);
+  HLRC_CHECK_MSG(layout.empty(), "%s", layout.c_str());
   completed_.assign(static_cast<size_t>(info.nodes), 0);
 }
 

@@ -43,14 +43,20 @@ class TraceReplayApp : public App {
   static std::unique_ptr<TraceReplayApp> Open(const std::string& path, std::string* error);
 
   std::string name() const override { return "replay:" + reader_->info().app; }
-  void Setup(System& sys) override;
+  void Allocate(SharedSpace& space, const SimConfig& config) override;
   System::Program Program() override;
   bool Verify(System& sys, std::string* why) override;
+  // A trace replays only at its recorded node count and shared-space layout.
+  std::string Validate(const SimConfig& config) const override;
 
   const TraceInfo& info() const { return reader_->info(); }
 
  private:
   explicit TraceReplayApp(std::unique_ptr<TraceReader> reader);
+
+  // Allocates the recorded objects in `space`; returns why an address differs
+  // from the recorded one, or "".
+  std::string PlaceAllocs(SharedSpace& space) const;
 
   std::string path_;
   std::unique_ptr<TraceReader> reader_;

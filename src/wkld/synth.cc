@@ -219,17 +219,29 @@ class SyntheticApp : public App {
     return std::string("synth-") + SynthPatternName(cfg_.pattern);
   }
 
-  void Setup(System& sys) override {
+  std::string Validate(const SimConfig& config) const override {
+    SynthConfig cfg = cfg_;
+    cfg.nodes = config.nodes;
+    cfg.page_size = config.page_size;
+    cfg.shared_bytes = config.shared_bytes;
+    return ValidateSynthConfig(cfg);
+  }
+
+  void Allocate(SharedSpace& space, const SimConfig& config) override {
     // Adapt to the actual topology: synthetic workloads sweep node count and
-    // page size, unlike file-trace replay.
-    cfg_.nodes = sys.config().nodes;
-    cfg_.page_size = sys.config().page_size;
-    cfg_.shared_bytes = sys.config().shared_bytes;
-    workload_ = std::make_unique<VectorSink>(cfg_.nodes);
-    GenerateSynthetic(cfg_, workload_.get());
+    // page size, unlike file-trace replay. The workload is a function of the
+    // topology, so the run after ValidateWorkload's plan replay reuses it.
+    if (workload_ == nullptr || cfg_.nodes != config.nodes ||
+        cfg_.page_size != config.page_size || cfg_.shared_bytes != config.shared_bytes) {
+      cfg_.nodes = config.nodes;
+      cfg_.page_size = config.page_size;
+      cfg_.shared_bytes = config.shared_bytes;
+      workload_ = std::make_unique<VectorSink>(cfg_.nodes);
+      GenerateSynthetic(cfg_, workload_.get());
+    }
     for (const AllocEntry& a : workload_->allocs()) {
-      const GlobalAddr addr = a.page_aligned ? sys.space().AllocPageAligned(a.bytes)
-                                             : sys.space().Alloc(a.bytes);
+      const GlobalAddr addr =
+          a.page_aligned ? space.AllocPageAligned(a.bytes) : space.Alloc(a.bytes);
       HLRC_CHECK_MSG(addr == a.addr,
                      "synthetic workload expects a fresh shared space (allocation "
                      "landed at 0x%llx, expected 0x%llx)",

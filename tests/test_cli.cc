@@ -359,9 +359,34 @@ TEST(CheckArgs, JobsSeedsAndRounds) {
                           "--litmus=bogus", "--protocols=bogus", "--mutation=bogus"}) {
     EXPECT_NE(parse({bad}), "") << bad;
   }
+  // Litmus preconditions and shared-space fit, checked before any seed runs.
+  EXPECT_EQ(parse({"--page-size=8"}), "false-sharing needs 8 * nodes <= page size, got 8 * 4 > 8");
+  EXPECT_EQ(parse({"--page-size=1048576"}),
+            "message-passing needs 8388608 bytes of shared space with 1048576-byte pages, but "
+            "the space has 1048576");
+  EXPECT_EQ(parse({"--page-size=1048576", "--litmus=false-sharing"}), "");
   EXPECT_EQ(parse({"--replay-seed=3"}), "--replay-seed requires --limit");
   EXPECT_EQ(parse({"--limit=3"}), "--limit requires --replay-seed");
   EXPECT_EQ(parse({"--replay-seed=3", "--limit=4", "--protocols=all", "--litmus=all"}), "");
+}
+
+// An app whose page-aligned arrays outgrow the shared space is rejected from
+// its allocation plan, naming the bytes, before any System exists.
+TEST(SimArgs, SharedSpaceShortfallIsRejectedBeforeTheRun) {
+  auto prepare = [](std::vector<std::string> args) {
+    SimOptions o;
+    FlagTable flags(kSimTool);
+    AddSimFlags(&flags, &o);
+    std::string err = ParseArgv(flags, std::move(args));
+    SimRun run;
+    return err.empty() ? PrepareSimRun(o, &run) : err;
+  };
+  EXPECT_EQ(prepare({"--app=sor", "--scale=tiny", "--page-size=268435456"}),
+            "SOR needs 268566528 bytes of shared space with 268435456-byte pages, but the "
+            "space has 268435456");
+  // LU's one array fits the one page.
+  EXPECT_EQ(prepare({"--app=lu", "--scale=tiny", "--page-size=268435456"}), "");
+  EXPECT_EQ(prepare({"--app=sor", "--scale=tiny"}), "");
 }
 
 TEST(CheckArgs, DefaultsMatchTheDocumentedSweep) {

@@ -1,7 +1,7 @@
 // Differential tests for the interval metadata fast path
 // (docs/PERFORMANCE.md): the per-writer append-only IntervalLog of shared
 // immutable records must behave exactly like the original global
-// std::map<IntervalKey, IntervalRecord> store it replaced — same surviving
+// std::map<(writer, id), IntervalRecord> store it replaced — same surviving
 // records, same pack order (writers ascending, ids ascending), same encoded
 // bytes — across ~1000 randomized close/apply/pack/GC-truncation sequences.
 // Also pins the two properties the copy-free fan-out relies on: packed
@@ -49,7 +49,7 @@ class ReferenceStore {
       if (rec->id <= vt_.Get(rec->writer)) {
         continue;
       }
-      intervals_[IntervalKey{rec->writer, rec->id}] = *rec;  // Deep copy.
+      intervals_[Key{rec->writer, rec->id}] = *rec;  // Deep copy.
       vt_.Set(rec->writer, rec->id);
     }
   }
@@ -57,7 +57,7 @@ class ReferenceStore {
   std::vector<IntervalRecord> PackFor(const VectorClock& vt) const {
     std::vector<IntervalRecord> out;
     for (const auto& [key, rec] : intervals_) {
-      if (key.id > vt.Get(key.writer)) {
+      if (key.second > vt.Get(key.first)) {
         out.push_back(rec);
       }
     }
@@ -65,7 +65,7 @@ class ReferenceStore {
   }
 
   const IntervalRecord* Find(NodeId writer, uint32_t id) const {
-    auto it = intervals_.find(IntervalKey{writer, id});
+    auto it = intervals_.find(Key{writer, id});
     return it == intervals_.end() ? nullptr : &it->second;
   }
 
@@ -75,8 +75,11 @@ class ReferenceStore {
   size_t size() const { return intervals_.size(); }
 
  private:
+  // (writer, id): the pair's writer-then-id order is the pack order.
+  using Key = std::pair<NodeId, uint32_t>;
+
   VectorClock vt_;
-  std::map<IntervalKey, IntervalRecord> intervals_;
+  std::map<Key, IntervalRecord> intervals_;
 };
 
 // The node under test: IntervalLog plus the same vt bookkeeping.

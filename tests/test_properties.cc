@@ -134,27 +134,6 @@ TEST(VectorClockProperty, BumpCreatesHappensBeforeSuccessor) {
   }
 }
 
-TEST(IntervalProperty, KeyOrderingIsStrictAndConsistentWithEquality) {
-  Rng rng(7);
-  auto random_key = [&rng] {
-    return IntervalKey{static_cast<NodeId>(rng.NextBounded(8)),
-                       static_cast<uint32_t>(rng.NextBounded(8))};
-  };
-  for (int i = 0; i < kCases; ++i) {
-    const IntervalKey a = random_key();
-    const IntervalKey b = random_key();
-    const IntervalKey c = random_key();
-    EXPECT_FALSE(a < a);
-    EXPECT_EQ(a == b, !(a < b) && !(b < a));
-    if (a < b && b < c) {
-      EXPECT_TRUE(a < c);
-    }
-    if (a == b) {
-      EXPECT_EQ(IntervalKeyHash()(a), IntervalKeyHash()(b));
-    }
-  }
-}
-
 TEST(IntervalProperty, EncodedSizeCountsNoticesAndOptionalTimestamp) {
   Rng rng(8);
   for (int i = 0; i < kCases; ++i) {

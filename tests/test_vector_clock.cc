@@ -101,15 +101,5 @@ TEST(IntervalRecord, EncodedSizeGrowsWithVtOnlyWhenShipped) {
   EXPECT_EQ(rec.EncodedSize(false), 8 + 12);
 }
 
-TEST(IntervalKey, OrderingAndHash) {
-  const IntervalKey a{1, 2};
-  const IntervalKey b{1, 3};
-  const IntervalKey c{2, 1};
-  EXPECT_TRUE(a < b);
-  EXPECT_TRUE(b < c);
-  EXPECT_TRUE(a == (IntervalKey{1, 2}));
-  EXPECT_NE(IntervalKeyHash()(a), IntervalKeyHash()(b));
-}
-
 }  // namespace
 }  // namespace hlrc

@@ -480,6 +480,24 @@ TEST(RecordReplay, NodeCountMismatchDies) {
       "recorded with");
 }
 
+// The same mismatches are bad input to the tools: ValidateRun names them
+// before any System exists, instead of the CHECK above aborting the run.
+TEST(RecordReplay, ValidateRunRejectsForeignNodeCountAndLayout) {
+  const std::string path = TempPath("validate.wkld");
+  RecordAppTrace("sor", ProtocolKind::kHlrc, path);
+  std::string error;
+  auto app = TraceReplayApp::Open(path, &error);
+  ASSERT_NE(nullptr, app) << error;
+  SimConfig cfg = TestConfig(ProtocolKind::kHlrc);
+  EXPECT_EQ(ValidateRun(*app, cfg), "");
+  cfg.nodes = 4;
+  EXPECT_NE(ValidateRun(*app, cfg).find("recorded with 8 nodes but the system has 4"),
+            std::string::npos);
+  cfg.nodes = 8;
+  cfg.page_size = 1 << 20;
+  EXPECT_NE(ValidateRun(*app, cfg).find("layout shifted"), std::string::npos);
+}
+
 // ---- synthetic workloads ---------------------------------------------------
 
 TEST(Synth, SameSeedIsByteIdentical) {
@@ -528,19 +546,25 @@ TEST(Synth, AllPatternsRunUnderHlrcAndLrc) {
   }
 }
 
-// Synthetic apps adapt to the system's topology (unlike file replay).
+// Synthetic apps adapt to the system's topology (unlike file replay): one
+// app, validated then run, regenerates its workload for each new node count.
+// Pages the generator cannot use are rejected, not aborted on.
 TEST(Synth, AppAdaptsToNodeCount) {
   SynthConfig cfg;
   cfg.pattern = SynthPattern::kSingleWriter;
   cfg.iterations = 2;
   cfg.ops_per_iter = 4;
-  for (int nodes : {2, 8}) {
-    auto app = MakeSyntheticApp(cfg);
+  auto app = MakeSyntheticApp(cfg);
+  for (int nodes : {2, 8, 2}) {
     SimConfig sim;
     sim.nodes = nodes;
+    ASSERT_EQ(ValidateRun(*app, sim), "") << nodes;
     const AppRunResult r = RunApp(*app, sim);
     EXPECT_TRUE(r.verified) << nodes << " nodes: " << r.why;
   }
+  SimConfig sim;
+  sim.page_size = 128;
+  EXPECT_NE(ValidateRun(*app, sim).find("page_size >= 256"), std::string::npos);
 }
 
 // A generated trace file replays through the full file path too.

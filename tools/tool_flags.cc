@@ -238,7 +238,20 @@ std::string FinishCheckOptions(CheckOptions* o) {
     o->protocols = {ProtocolKind::kLrc, ProtocolKind::kErc, ProtocolKind::kHlrc,
                     ProtocolKind::kAurc};
   }
-  return ValidateConfig(ToSimConfig(MakeCheckConfig(*o, o->litmus[0], o->protocols[0])));
+  const SimConfig sim = ToSimConfig(MakeCheckConfig(*o, o->litmus[0], o->protocols[0]));
+  if (std::string why = ValidateConfig(sim); !why.empty()) {
+    return why;
+  }
+  // Once per litmus, not per seed: RunOne is the sweep's hot loop.
+  LitmusConfig lcfg;
+  lcfg.nodes = o->base.nodes;
+  lcfg.rounds = o->base.rounds;
+  for (const std::string& name : o->litmus) {
+    if (std::string why = ValidateWorkload(*MakeLitmus(name, lcfg), sim); !why.empty()) {
+      return why;
+    }
+  }
+  return "";
 }
 
 CheckConfig MakeCheckConfig(const CheckOptions& o, const std::string& litmus,

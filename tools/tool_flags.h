@@ -81,8 +81,8 @@ extern const ToolInfo kCheckTool;
 void AddCheckFlags(FlagTable* flags, CheckOptions* o);
 
 // Fills the litmus/protocol defaults, then checks the --replay-seed/--limit
-// pairing and the sweep's machine (ValidateConfig); returns why the sweep
-// cannot run, or "".
+// pairing, the sweep's machine (ValidateConfig) and each selected litmus on
+// it (ValidateWorkload); returns why the sweep cannot run, or "".
 std::string FinishCheckOptions(CheckOptions* o);
 
 // The explorer config of one (litmus, protocol) sweep; the caller sets the
