@@ -16,7 +16,8 @@
 // A second golden, tests/golden/summary_64nodes.txt, pins tiny-scale runs at
 // 64 nodes with the per-page protocol paths the 8-node rows never reach:
 // homeless GC forced at some barriers while write notices survive the
-// others, home migration with parked page requests, and AURC.
+// others, home migration with parked page requests, and AURC. Each row also
+// pins the run's coverage map (points, hits, fingerprint).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -29,6 +30,7 @@
 
 #include "src/apps/app.h"
 #include "src/check/explorer.h"
+#include "src/fuzz/coverage.h"
 #include "src/wkld/recorder.h"
 #include "src/wkld/replay.h"
 #include "src/wkld/trace_file.h"
@@ -117,7 +119,10 @@ std::string BuildSummary() {
 
 std::string GoldenPath() { return std::string(HLRC_GOLDEN_DIR) + "/summary_8nodes.txt"; }
 
-// One 64-node tiny-scale row. `label` names the non-default options.
+// One 64-node tiny-scale row. `label` names the non-default options. The
+// row also pins the run's protocol-state coverage map (distinct points,
+// emissions and fingerprint): at 64 nodes most write notices name pages the
+// receiver does not map, a regime the 4-node fuzz sessions barely reach.
 std::string Summary64Line(const std::string& app_name, ProtocolKind kind, const char* label,
                           const ProtocolOptions& opts) {
   constexpr int kNodes64 = 64;
@@ -126,11 +131,19 @@ std::string Summary64Line(const std::string& app_name, ProtocolKind kind, const 
   cfg.nodes = kNodes64;
   cfg.protocol = opts;
   cfg.protocol.kind = kind;
-  const AppRunResult r = RunApp(*app, cfg);
-  EXPECT_TRUE(r.verified) << app_name << " under " << ProtocolName(kind) << " " << label << ": "
-                          << r.why;
-  return FormatSummary(app_name, kind, r.report, kNodes64) + " gc_runs=" +
-         std::to_string(r.report.Totals().proto.gc_runs) + " [" + label + "]";
+  System sys(cfg);
+  fuzz::CoverageMap coverage(static_cast<uint64_t>(kind));
+  sys.SetCoverageObserver(&coverage);
+  app->Setup(sys);
+  sys.Run(app->Program());
+  std::string why;
+  EXPECT_TRUE(app->Verify(sys, &why)) << app_name << " under " << ProtocolName(kind) << " "
+                                      << label << ": " << why;
+  return FormatSummary(app_name, kind, sys.report(), kNodes64) + " gc_runs=" +
+         std::to_string(sys.report().Totals().proto.gc_runs) +
+         " cov_points=" + std::to_string(coverage.points()) +
+         " cov_hits=" + std::to_string(coverage.hits()) +
+         " cov_fp=" + std::to_string(coverage.Fingerprint()) + " [" + label + "]";
 }
 
 std::string Build64Summary() {
