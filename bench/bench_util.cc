@@ -1,6 +1,8 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -27,6 +29,7 @@ FlagTable MakeFlags(const char* argv0, BenchOptions* o) {
             Word{RegisteredAppNames()})
       .List("--protocols", "LIST", &o->protocols, "protocols (default lrc,olrc,hlrc,ohlrc)",
             OneOf<ProtocolKind>{kProtocolNames})
+      .Marks(&o->protocols_given)
       .Value("--page-size", "N", &o->page_size, "SVM page size, a power of two (default 4096)",
              Range<int64_t>{1})
       .Value("--home", "POLICY", &o->home_policy, "home placement (default block)",
@@ -77,6 +80,35 @@ BenchOptions ParseArgs(int argc, char** argv) {
     flags.UsageError(why);
   }
   return opts;
+}
+
+std::string SelectProtocols(const BenchOptions& opts, const std::vector<ProtocolKind>& supported,
+                            std::vector<ProtocolKind>* selected) {
+  selected->clear();
+  for (ProtocolKind kind : supported) {
+    if (!opts.protocols_given ||
+        std::find(opts.protocols.begin(), opts.protocols.end(), kind) != opts.protocols.end()) {
+      selected->push_back(kind);
+    }
+  }
+  for (ProtocolKind kind : opts.protocols) {
+    if (opts.protocols_given &&
+        std::find(supported.begin(), supported.end(), kind) == supported.end()) {
+      std::string names;
+      for (ProtocolKind s : supported) {
+        names += (names.empty() ? "" : " and ") + std::string(NameOf(kProtocolNames, s));
+      }
+      return "--protocols: this benchmark compares " + names + " only, got " +
+             NameOf(kProtocolNames, kind);
+    }
+  }
+  return "";
+}
+
+void UsageError(const char* argv0, const std::string& why) {
+  BenchOptions unused;
+  MakeFlags(argv0, &unused).UsageError(why);
+  std::abort();  // UsageError exits.
 }
 
 SimConfig BaseConfig(const BenchOptions& opts, ProtocolKind kind, int nodes) {

@@ -19,6 +19,7 @@ struct BenchOptions {
   AppScale scale = AppScale::kDefault;
   std::vector<ProtocolKind> protocols = {ProtocolKind::kLrc, ProtocolKind::kOlrc,
                                          ProtocolKind::kHlrc, ProtocolKind::kOhlrc};
+  bool protocols_given = false;  // --protocols appeared on the command line.
   std::vector<std::string> apps;  // Empty => all five.
   int64_t page_size = 4096;
   HomePolicy home_policy = HomePolicy::kBlock;
@@ -57,6 +58,14 @@ struct BenchOptions {
 BenchOptions ParseArgs(int argc, char** argv);
 // The same parse without exiting: "" on success, else the reason.
 std::string ParseArgs(int argc, char** argv, BenchOptions* opts);
+
+// For a benchmark that compares a fixed set of protocols: `supported` by
+// default, else the ones --protocols lists, in `supported` order. "" on
+// success, else a one-line reason naming the supported protocols.
+std::string SelectProtocols(const BenchOptions& opts, const std::vector<ProtocolKind>& supported,
+                            std::vector<ProtocolKind>* selected);
+// Prints the reason and the bench usage to stderr and exits 2.
+[[noreturn]] void UsageError(const char* argv0, const std::string& why);
 
 SimConfig BaseConfig(const BenchOptions& opts, ProtocolKind kind, int nodes);
 

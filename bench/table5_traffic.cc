@@ -2,6 +2,9 @@
 // counts, update-related traffic (diff/page payloads) and protocol traffic
 // (write notices, requests, headers).
 #include <cstdio>
+#include <initializer_list>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -29,6 +32,13 @@ int64_t LogicalMsgs(const NodeReport& t) {
 
 int Main(int argc, char** argv) {
   BenchOptions opts = ParseArgs(argc, argv);
+  // The table compares LRC with HLRC; --protocols may narrow it to one.
+  std::vector<ProtocolKind> protocols;
+  if (const std::string why =
+          SelectProtocols(opts, {ProtocolKind::kLrc, ProtocolKind::kHlrc}, &protocols);
+      !why.empty()) {
+    UsageError(argv[0], why);
+  }
 
   // Under fault injection the reliable-delivery layer adds traffic of its
   // own; report it so degraded-fabric runs stay interpretable.
@@ -36,13 +46,24 @@ int Main(int argc, char** argv) {
 
   std::printf("=== Table 5: Communication traffic (totals across nodes) ===\n\n");
   Table table("");
-  std::vector<std::string> header = {"Application",  "Nodes",       "Msgs LRC",
-                                     "Msgs HLRC",    "Update LRC",  "Update HLRC",
-                                     "Protocol LRC", "Protocol HLRC"};
+  // One column per (quantity, protocol), protocols innermost.
+  auto columns = [&protocols](std::initializer_list<const char*> quantities) {
+    std::vector<std::string> out;
+    for (const char* q : quantities) {
+      for (ProtocolKind kind : protocols) {
+        out.push_back(std::string(q) + " " + ProtocolName(kind));
+      }
+    }
+    return out;
+  };
+  std::vector<std::string> header = {"Application", "Nodes"};
+  for (const std::string& c : columns({"Msgs", "Update", "Protocol"})) {
+    header.push_back(c);
+  }
   if (faulty) {
-    header.insert(header.end(),
-                  {"Retx LRC", "Retx HLRC", "DupDrop LRC", "DupDrop HLRC", "Acks LRC",
-                   "Acks HLRC"});
+    for (const std::string& c : columns({"Retx", "DupDrop", "Acks"})) {
+      header.push_back(c);
+    }
   }
   table.SetHeader(header);
 
@@ -72,28 +93,25 @@ int Main(int argc, char** argv) {
 
   for (const std::string& app : opts.apps) {
     for (int nodes : opts.node_counts) {
-      const AppRunResult lrc =
-          RunVerified(app, opts, BaseConfig(opts, ProtocolKind::kLrc, nodes));
-      const AppRunResult hlrc =
-          RunVerified(app, opts, BaseConfig(opts, ProtocolKind::kHlrc, nodes));
-      const NodeReport tl = lrc.report.Totals();
-      const NodeReport th = hlrc.report.Totals();
-      add_row(app, nodes, "LRC", tl);
-      add_row(app, nodes, "HLRC", th);
-      std::vector<std::string> row = {app, Table::Fmt(static_cast<int64_t>(nodes)),
-                                      Table::Fmt(tl.traffic.msgs_sent),
-                                      Table::Fmt(th.traffic.msgs_sent),
-                                      Table::FmtBytes(tl.traffic.update_bytes_sent),
-                                      Table::FmtBytes(th.traffic.update_bytes_sent),
-                                      Table::FmtBytes(tl.traffic.protocol_bytes_sent),
-                                      Table::FmtBytes(th.traffic.protocol_bytes_sent)};
+      std::vector<NodeReport> totals;
+      for (ProtocolKind kind : protocols) {
+        const AppRunResult run = RunVerified(app, opts, BaseConfig(opts, kind, nodes));
+        totals.push_back(run.report.Totals());
+        add_row(app, nodes, ProtocolName(kind), totals.back());
+      }
+      std::vector<std::string> row = {app, Table::Fmt(static_cast<int64_t>(nodes))};
+      auto add = [&row, &totals](auto cell) {
+        for (const NodeReport& t : totals) {
+          row.push_back(cell(t));
+        }
+      };
+      add([](const NodeReport& t) { return Table::Fmt(t.traffic.msgs_sent); });
+      add([](const NodeReport& t) { return Table::FmtBytes(t.traffic.update_bytes_sent); });
+      add([](const NodeReport& t) { return Table::FmtBytes(t.traffic.protocol_bytes_sent); });
       if (faulty) {
-        row.insert(row.end(), {Table::Fmt(tl.traffic.msgs_retransmitted),
-                               Table::Fmt(th.traffic.msgs_retransmitted),
-                               Table::Fmt(tl.traffic.msgs_duplicated_dropped),
-                               Table::Fmt(th.traffic.msgs_duplicated_dropped),
-                               Table::Fmt(tl.traffic.acks_sent),
-                               Table::Fmt(th.traffic.acks_sent)});
+        add([](const NodeReport& t) { return Table::Fmt(t.traffic.msgs_retransmitted); });
+        add([](const NodeReport& t) { return Table::Fmt(t.traffic.msgs_duplicated_dropped); });
+        add([](const NodeReport& t) { return Table::Fmt(t.traffic.acks_sent); });
       }
       table.AddRow(row);
       std::fflush(stdout);

@@ -34,9 +34,13 @@ class CoverageObserver {
 
   virtual ~CoverageObserver() = default;
 
-  // Records one coverage point. Must not charge simulated time or schedule
-  // events: coverage is pure observation, like metrics and tracing.
-  virtual void Cover(Domain domain, uint64_t a, uint64_t b) = 0;
+  // Records one coverage point emitted `n` times (n >= 1), exactly as `n`
+  // single calls would: one distinct point, `n` hits. Producers that handle a
+  // batch of identical events (write notices for pages not mapped here) emit
+  // them with one call. Must not charge simulated time or schedule events:
+  // coverage is pure observation, like metrics and tracing.
+  virtual void Cover(Domain domain, uint64_t a, uint64_t b, int64_t n) = 0;
+  void Cover(Domain domain, uint64_t a, uint64_t b) { Cover(domain, a, b, 1); }
 };
 
 inline const char* CoverageDomainName(CoverageObserver::Domain d) {

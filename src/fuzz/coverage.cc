@@ -20,8 +20,8 @@ uint64_t CoverageMap::Mix(uint64_t salt, Domain domain, uint64_t a, uint64_t b) 
   return h;
 }
 
-void CoverageMap::Cover(Domain domain, uint64_t a, uint64_t b) {
-  ++hits_;
+void CoverageMap::Cover(Domain domain, uint64_t a, uint64_t b, int64_t n) {
+  hits_ += n;
   sets_[static_cast<size_t>(domain)].insert(Mix(salt_, domain, a, b));
 }
 

@@ -30,7 +30,8 @@ class CoverageMap : public CoverageObserver {
   // the ProtocolKind under which the run executed).
   explicit CoverageMap(uint64_t salt = 0) : salt_(salt) {}
 
-  void Cover(Domain domain, uint64_t a, uint64_t b) override;
+  using CoverageObserver::Cover;
+  void Cover(Domain domain, uint64_t a, uint64_t b, int64_t n) override;
 
   // Distinct coverage points seen, over all domains.
   size_t points() const;

@@ -72,9 +72,10 @@ void ErcProtocol::FlushBarrier(std::function<void()> done) {
   flush_waiters_.push_back(std::move(done));
 }
 
-bool ErcProtocol::OnWriteNotice(const IntervalPtr& /*rec*/, PageId /*page*/) {
-  // Never reached: no interval records are published (see OnIntervalClosed).
-  return false;
+ProtocolNode::NoticeWalk ErcProtocol::OnIntervalNotices(const IntervalPtr& /*rec*/) {
+  // Nothing to walk: no interval with write notices is ever published (see
+  // OnIntervalClosed), and updates never invalidate.
+  return NoticeWalk{};
 }
 
 Task<void> ErcProtocol::ResolveFault(PageId page, bool write) {

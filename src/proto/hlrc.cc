@@ -102,20 +102,53 @@ void HlrcProtocol::OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
 // ---------------------------------------------------------------------------
 // Write notices.
 
-bool HlrcProtocol::OnWriteNotice(const IntervalPtr& rec, PageId page) {
-  meta_.UpdateRequired(page, rec->writer, rec->id);
-  PageState& st = pages().State(page);
-  if (IsHomeHere(page)) {
-    // The master copy lives here. If the announced diffs have already been
-    // applied there is nothing to do — this is why home accesses take no
-    // page faults. Only an in-flight diff forces a temporary invalidation.
-    if (meta_.RequiredApplied(page)) {
-      return false;
+ProtocolNode::NoticeWalk HlrcProtocol::OnIntervalNotices(const IntervalPtr& rec) {
+  // Only pages mapped or homed here are visited one by one. Every other
+  // notice goes to the writer's run summary, a run of consecutive pages at
+  // a time, until a fault resolves the page's required stamps.
+  const bool migrate = env().options->migrate_homes;
+  NoticeWalk walk;
+  PageId home_last = -1;
+  NodeId run_home = kInvalidNode;
+  PageId deferred_first = -1;
+  PageId deferred_last = -2;
+  auto flush_deferred = [&] {
+    if (deferred_first >= 0) {
+      meta_.DeferNotices(rec->writer, rec->id, deferred_first, deferred_last);
     }
+  };
+  for (PageId page : rec->pages) {
+    if (page > home_last) {
+      run_home = HomeRun(page, &home_last);
+    }
+    NodeId home = run_home;
+    if (migrate) {
+      const NodeId moved = meta_.HomeOverride(page);
+      home = moved == kInvalidNode ? home : moved;
+    }
+    PageState& st = pages().State(page);
+    const PageProt before = st.prot();
+    if (home != self() && before == PageProt::kNone) {
+      if (page != deferred_last + 1) {
+        flush_deferred();
+        deferred_first = page;
+      }
+      deferred_last = page;
+      continue;
+    }
+    ++walk.eager;
+    meta_.UpdateRequired(page, rec->writer, rec->id);
+    // At the home, a notice whose diff has already been applied changes
+    // nothing -- this is why home accesses take no page faults. Only an
+    // in-flight diff forces a temporary invalidation.
+    if (home != self() || !meta_.RequiredApplied(page)) {
+      st.set_prot(PageProt::kNone);
+    }
+    walk.invalidated += before != st.prot() ? 1 : 0;
+    CoverNotice(before, st.prot());
   }
-  const bool was_mapped = st.prot() != PageProt::kNone;
-  st.set_prot(PageProt::kNone);
-  return was_mapped;
+  flush_deferred();
+  return walk;
 }
 
 // ---------------------------------------------------------------------------
@@ -147,6 +180,7 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
       // another node's notices mid-computation), the reply predates the
       // newly-announced diff: fetch again.
       while (true) {
+        meta_.Resolve(page);
         const uint64_t epoch = meta_.RequiredEpoch(page);
         ++stats_.page_fetches;
         MetricFetch(page, pages().page_size());
@@ -169,6 +203,7 @@ Task<void> HlrcProtocol::ResolveFault(PageId page, bool write) {
           InstallPageData(page, *fw.data);
         }
         meta_.at(page).fault.reset();  // Frees `fw`.
+        meta_.Resolve(page);  // Notices that arrived during the fetch.
         if (transfer_satisfied || meta_.RequiredEpoch(page) == epoch) {
           // A home transfer made this node the page's home: its copy IS the
           // master now; no re-fetch regardless of epoch churn.
@@ -275,7 +310,9 @@ void HlrcProtocol::MaybeMigrateHome(PageId page, NodeId writer) {
 void HlrcProtocol::HandleHomeTransfer(PageId page, const std::vector<std::byte>& data,
                                       const std::vector<uint32_t>& applied) {
   // Become the page's home: adopt the master copy (rebasing any local open
-  // writes) and the applied-flush state.
+  // writes) and the applied-flush state. A home takes every notice of its
+  // pages eagerly, so its required stamps must be complete from here on.
+  meta_.Resolve(page);
   InstallPageData(page, data);
   pages().DropTwin(page);  // The master needs no twin at its home.
   meta_.AdoptApplied(page, applied);

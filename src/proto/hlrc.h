@@ -29,7 +29,7 @@ class HlrcProtocol : public ProtocolNode {
  protected:
   void OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
                         CloseActions* actions) override;
-  bool OnWriteNotice(const IntervalPtr& rec, PageId page) override;
+  NoticeWalk OnIntervalNotices(const IntervalPtr& rec) override;
   Task<void> ResolveFault(PageId page, bool write) override;
   void HandleProtocolMessage(Message msg) override;
   int64_t SubclassMemoryBytes() const override {

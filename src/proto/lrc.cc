@@ -38,7 +38,8 @@ void LrcProtocol::OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
 
     const int64_t bytes = d.EncodedSize();
     // `rec` is sealed and published before anyone reads it from the store.
-    meta_.AddDiff(p, StoredDiff{rec, std::move(d), !overlapped(), !lazy, create_cost, bytes, {}});
+    meta_.AddDiff(p, StoredDiff{rec, std::make_shared<const Diff>(std::move(d)), !overlapped(),
+                                !lazy, create_cost, bytes, {}});
 
     if (overlapped()) {
       cop_work.emplace_back(p, create_cost);
@@ -76,20 +77,52 @@ void LrcProtocol::MarkDiffReady(PageId page, uint32_t id) {
 // ---------------------------------------------------------------------------
 // Write notices.
 
-bool LrcProtocol::OnWriteNotice(const IntervalPtr& rec, PageId page) {
-  PageState& st = pages().State(page);
-  if (env().options->mutation == TestMutation::kLrcSkipInvalidate && !mutation_fired_ &&
-      st.prot() != PageProt::kNone) {
-    // Seeded bug (TestMutation): drop the first invalidating write notice
-    // entirely — the node keeps reading its stale mapped copy and never
-    // fetches this interval's diff. The consistency oracle must catch it.
-    mutation_fired_ = true;
-    return false;
+ProtocolNode::NoticeWalk LrcProtocol::OnIntervalNotices(const IntervalPtr& rec) {
+  // Only pages mapped here are visited one by one: their mapping goes. The
+  // notices themselves stay in the record, indexed, until a fault or a GC
+  // resolves the page.
+  const uint32_t seq = meta_.NextNotice();
+  NoticeWalk walk;
+  int64_t skipped = 0;
+  for (PageId page : rec->pages) {
+    PageState& st = pages().State(page);
+    const PageProt before = st.prot();
+    if (before == PageProt::kNone) {
+      continue;
+    }
+    ++walk.eager;
+    if (env().options->mutation == TestMutation::kLrcSkipInvalidate && !mutation_fired_) {
+      // Seeded bug (TestMutation): drop the first invalidating write notice
+      // entirely — the node keeps reading its stale mapped copy and never
+      // fetches this interval's diff. The consistency oracle must catch it.
+      mutation_fired_ = true;
+      meta_.SkipNotice(page, seq);
+      ++skipped;
+      CoverNotice(before, before);
+      continue;
+    }
+    st.set_prot(PageProt::kNone);
+    ++walk.invalidated;
+    CoverNotice(before, PageProt::kNone);
   }
-  meta_.AddNotice(page, rec);
-  const bool was_mapped = st.prot() != PageProt::kNone;
-  st.set_prot(PageProt::kNone);
-  return was_mapped;
+  meta_.AddNotices(rec, seq, static_cast<int64_t>(rec->pages.size()) - skipped);
+  return walk;
+}
+
+void LrcProtocol::Resolve(PageId page) {
+  if (meta_.Resolve(page)) {
+    // A GC dropped this stale copy: the next access fetches the whole page.
+    PageState& st = pages().State(page);
+    st.set_has_copy(false);
+    st.set_prot(PageProt::kNone);
+  }
+}
+
+NodeId LrcProtocol::OwnerHint(PageId page) const {
+  if (gc_owners_ == nullptr || static_cast<size_t>(page) >= gc_owners_->owners.size()) {
+    return kInvalidNode;
+  }
+  return gc_owners_->owners[static_cast<size_t>(page)];
 }
 
 // ---------------------------------------------------------------------------
@@ -101,6 +134,7 @@ Task<void> LrcProtocol::ResolveFault(PageId page, bool write) {
   // interrupts), so resolution restarts whenever the page is invalidated
   // mid-flight - the software equivalent of the store re-faulting.
   while (true) {
+    Resolve(page);
     if (!pages().State(page).has_copy()) {
       co_await FetchFullPage(page);
       continue;
@@ -120,7 +154,7 @@ Task<void> LrcProtocol::ResolveFault(PageId page, bool write) {
     }
     if (!pages().HasTwin(page)) {
       co_await ChargeCpu(costs().TwinCost(pages().page_size()), BusyCat::kTwin);
-      if (pages().State(page).prot() == PageProt::kNone || meta_.HasPending(page)) {
+      if (pages().State(page).prot() == PageProt::kNone || HasPending(page)) {
         continue;  // Invalidated during the twin charge: the data is stale.
       }
       pages().MakeTwin(page);
@@ -136,17 +170,8 @@ Task<void> LrcProtocol::ResolveFault(PageId page, bool write) {
 }
 
 Task<void> LrcProtocol::FetchDiffs(PageId page) {
-  // Group the page's pending write notices by writer, ascending; one request
-  // per writer (paper §2.1: "the acquiring processor may have to visit more
-  // than one processor to obtain diffs").
-  std::vector<std::pair<NodeId, uint32_t>> wanted;
-  for (const IntervalPtr& wn : meta_.at(page).pending) {
-    wanted.emplace_back(wn->writer, wn->id);
-  }
-  std::stable_sort(wanted.begin(), wanted.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  HLRC_CHECK(!wanted.empty());
-
+  Resolve(page);
+  HLRC_CHECK(meta_.HasPending(page));
   HLRC_CHECK(meta_.cold_at(page).fault == nullptr);
   LrcFaultCtx& ctx = *(meta_.cold_at(page).fault = std::make_unique<LrcFaultCtx>());
   ctx.done = std::make_unique<Completion>(engine());
@@ -154,14 +179,18 @@ Task<void> LrcProtocol::FetchDiffs(PageId page) {
     // Chain the requests from the fault root (kNoSpan under GC validation).
     // Scoped: the context must not survive across the suspension below.
     SpanCause sc(this, cur_fault_span_);
-    for (auto it = wanted.begin(); it != wanted.end();) {
-      const NodeId writer = it->first;
+    // The pending notices are sorted by (writer, id): one request per
+    // writer, ids ascending (paper §2.1: "the acquiring processor may have
+    // to visit more than one processor to obtain diffs").
+    const std::vector<IntervalPtr>& pending = meta_.Pending(page);
+    for (size_t i = 0; i < pending.size();) {
+      const NodeId writer = pending[i]->writer;
       HLRC_CHECK(writer != self());
       auto payload = std::make_unique<DiffRequestPayload>();
       payload->page = page;
       payload->requester = self();
-      for (; it != wanted.end() && it->first == writer; ++it) {
-        payload->intervals.push_back(it->second);
+      for (; i < pending.size() && pending[i]->writer == writer; ++i) {
+        payload->intervals.push_back(pending[i]->id);
       }
       const int64_t bytes = 16 + 4 * static_cast<int64_t>(payload->intervals.size());
       ++ctx.replies_needed;
@@ -181,7 +210,8 @@ Task<void> LrcProtocol::FetchDiffs(PageId page) {
     return a.first->vt.TotalOrderLess(b.first->vt);
   });
 
-  for (auto& [rec, diff] : collected) {
+  for (auto& [rec, handle] : collected) {
+    const Diff& diff = *handle;
     const SimTime t_apply = engine()->Now();
     co_await ChargeCpu(costs().DiffApplyCost(diff.DataBytes()), BusyCat::kDiffApply);
     SpanEmit(SpanKind::kDiffApply, t_apply, cur_fault_span_, page, rec->writer);
@@ -199,11 +229,12 @@ Task<void> LrcProtocol::FetchDiffs(PageId page) {
     MetricDiffApplied(page, diff.DataBytes());
     meta_.SetCovered(page, rec->writer, rec->id);
   }
+  Resolve(page);  // Notices that arrived during the fetch.
   meta_.PrunePendingCovered(page);
 }
 
 Task<void> LrcProtocol::FetchFullPage(PageId page) {
-  const NodeId hint = meta_.OwnerHint(page);
+  const NodeId hint = OwnerHint(page);
   const NodeId target = hint != kInvalidNode ? hint : 0;
   HLRC_CHECK(target != self());
   ++stats_.page_fetches;
@@ -231,6 +262,7 @@ Task<void> LrcProtocol::FetchFullPage(PageId page) {
     meta_.SetCovered(page, writer, id);
   }
   pages().State(page).set_has_copy(true);
+  Resolve(page);  // Notices that arrived during the fetch.
   meta_.PrunePendingCovered(page);
 }
 
@@ -268,7 +300,7 @@ void LrcProtocol::TrySendDiffReply(PageId page, NodeId requester,
       sd.cost_charged = true;
       deferred_cost += sd.create_cost;
     }
-    payload->diffs.emplace_back(id, sd.diff);
+    payload->diffs.emplace_back(id, sd.diff);  // A shared handle, not a copy.
     update_bytes += sd.bytes;
   }
   auto send = [this, requester, update_bytes, payload = std::make_shared<
@@ -293,6 +325,7 @@ void LrcProtocol::TrySendDiffReply(PageId page, NodeId requester,
 
 void LrcProtocol::ServePageRequest(PageId page, NodeId requester) {
   Trace(TraceEvent::kPageServe, page, requester);
+  Resolve(page);
   const PageState& st = pages().State(page);
   HLRC_CHECK_MSG(st.has_copy(), "node %d asked for page %d it does not hold", self(), page);
   auto payload = std::make_unique<HomelessPageReplyPayload>();
@@ -452,13 +485,21 @@ Task<void> LrcProtocol::BarrierPreRelease(BarrierId barrier, bool mem_pressure) 
   co_await *gc_coord_->infos_done;
 
   // Assign validators: the last writer (maximal interval vt) of each page.
-  auto assigned = std::make_shared<std::vector<std::pair<PageId, NodeId>>>();
+  // Fold them into the owners of the previous GC, once for every node.
+  auto round = std::make_shared<GcRound>();
+  if (gc_owners_ != nullptr) {
+    round->owners = gc_owners_->owners;
+    round->owned_pages = gc_owners_->owned_pages;
+  }
+  round->owners.resize(std::max(round->owners.size(), gc_coord_->best.size()), kInvalidNode);
   for (size_t page = 0; page < gc_coord_->best.size(); ++page) {
     if (const IntervalPtr& rec = gc_coord_->best[page]; rec != nullptr) {
-      assigned->emplace_back(static_cast<PageId>(page), rec->writer);
+      round->validators.emplace_back(static_cast<PageId>(page), rec->writer);
+      round->owned_pages += round->owners[page] == kInvalidNode ? 1 : 0;
+      round->owners[page] = rec->writer;
     }
   }
-  const GcValidators validators = std::move(assigned);
+  const GcValidators validators = std::move(round);
 
   {
     SpanCause sc(this, BarrierGatherSpan(barrier));
@@ -468,7 +509,7 @@ Task<void> LrcProtocol::BarrierPreRelease(BarrierId barrier, bool mem_pressure) 
         ApplyGcValidate(validators, missing);
       } else {
         const int64_t bytes =
-            8 + 8 * static_cast<int64_t>(validators->size()) + BatchBytes(missing);
+            8 + 8 * static_cast<int64_t>(validators->validators.size()) + BatchBytes(missing);
         auto payload = std::make_unique<GcValidatePayload>();
         payload->validators = validators;
         payload->intervals = std::move(missing);
@@ -519,15 +560,19 @@ void LrcProtocol::HandleGcInfo(NodeId node,
 
 void LrcProtocol::ApplyGcValidate(GcValidators validators, const IntervalBatch& intervals) {
   HLRC_CHECK(gc_validators_ == nullptr);
-  Trace(TraceEvent::kGcStart, static_cast<int64_t>(validators->size()));
+  Trace(TraceEvent::kGcStart, static_cast<int64_t>(validators->validators.size()));
   // Learn every pre-barrier interval now (the barrier release will re-send
   // them and dedup) so validation sees the complete pending sets.
   const SimTime wn_cost = ApplyIntervals(intervals);
   env().cpu->RunService(wn_cost, BusyCat::kWriteNotice, [] {});
   gc_validators_ = std::move(validators);
+  // A node validates only pages it wrote: walk its own diff inventory, not
+  // every page of the round.
+  const auto& all = gc_validators_->validators;
   std::vector<PageId> mine;
-  for (const auto& [page, validator] : *gc_validators_) {
-    if (validator == self() && meta_.HasPending(page)) {
+  for (const auto& [page, rec] : meta_.Inventory()) {
+    auto it = std::lower_bound(all.begin(), all.end(), std::make_pair(page, kInvalidNode));
+    if (it != all.end() && it->first == page && it->second == self() && HasPending(page)) {
       mine.push_back(page);
     }
   }
@@ -538,7 +583,7 @@ Task<void> LrcProtocol::ValidateForGc(std::vector<PageId> validate_pages) {
   WaitScope ws(this, WaitCat::kGc, WaitCat::kBarrier);
   for (PageId p : validate_pages) {
     co_await ChargeCpu(costs().gc_per_page, BusyCat::kGc);
-    while (meta_.HasPending(p)) {
+    while (HasPending(p)) {
       co_await FetchDiffs(p);
     }
   }
@@ -562,26 +607,33 @@ void LrcProtocol::HandleGcDone() {
 }
 
 void LrcProtocol::OnBarrierReleased() {
-  const GcValidators validators = std::move(gc_validators_);
-  if (validators == nullptr || validators->empty()) {
+  const GcValidators round = std::move(gc_validators_);
+  if (round == nullptr || round->validators.empty()) {
     return;
   }
   ++stats_.gc_runs;
-  Trace(TraceEvent::kGcEnd, static_cast<int64_t>(validators->size()));
+  const auto& validators = round->validators;
+  Trace(TraceEvent::kGcEnd, static_cast<int64_t>(validators.size()));
   const SimTime cost =
-      costs().gc_fixed + costs().gc_per_page * static_cast<SimTime>(validators->size());
+      costs().gc_fixed + costs().gc_per_page * static_cast<SimTime>(validators.size());
 
-  for (const auto& [page, validator] : *validators) {
-    meta_.SetOwnerHint(page, validator);
-    if (validator != self() && meta_.HasPending(page)) {
-      // Stale copy whose diffs are about to disappear: drop it; the next
-      // access fetches the whole page from the validator.
-      PageState& st = pages().State(page);
-      st.set_has_copy(false);
-      st.set_prot(PageProt::kNone);
-      meta_.DropCopy(page);
+  // A copy with notices still pending here is stale: its diffs are about to
+  // disappear, so drop it; the next access fetches the whole page from the
+  // validator. Pages held here are checked one by one; the table releases
+  // the rest, whose notices are all unlisted, in bulk.
+  meta_.ReleaseGc([&](PageId page) {
+    auto it = std::lower_bound(validators.begin(), validators.end(),
+                               std::make_pair(page, kInvalidNode));
+    if (it == validators.end() || it->first != page || it->second == self()) {
+      return false;
     }
-  }
+    PageState& st = pages().State(page);
+    st.set_has_copy(false);
+    st.set_prot(PageProt::kNone);
+    return true;
+  });
+  gc_owners_ = round;
+  meta_.SetOwnerHints(round->owned_pages);
   meta_.ClearDiffs();
   env().cpu->RunService(cost, BusyCat::kGc, [] {});
   NoteMemory();

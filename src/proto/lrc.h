@@ -23,9 +23,18 @@
 
 namespace hlrc {
 
-// One GC's validator of each page, ascending by page: built once by the
-// manager and shared, immutable, by every node's payload and GC state.
-using GcValidators = std::shared_ptr<const std::vector<std::pair<PageId, NodeId>>>;
+// One GC's outcome, built once by the manager and shared, immutable, by
+// every node's payload and GC state.
+struct GcRound {
+  // The validator of each page with diffs, ascending by page.
+  std::vector<std::pair<PageId, NodeId>> validators;
+  // Indexed by page: the validator at the page's latest GC so far (where to
+  // fetch the page after it), or kInvalidNode. This GC's validators folded
+  // into the previous round's owners.
+  std::vector<NodeId> owners;
+  int64_t owned_pages = 0;  // Entries of `owners` naming a node.
+};
+using GcValidators = std::shared_ptr<const GcRound>;
 
 class LrcProtocol : public ProtocolNode {
  public:
@@ -34,7 +43,7 @@ class LrcProtocol : public ProtocolNode {
  protected:
   void OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
                         CloseActions* actions) override;
-  bool OnWriteNotice(const IntervalPtr& rec, PageId page) override;
+  NoticeWalk OnIntervalNotices(const IntervalPtr& rec) override;
   Task<void> ResolveFault(PageId page, bool write) override;
   void HandleProtocolMessage(Message msg) override;
   int64_t SubclassMemoryBytes() const override { return meta_.MemoryBytes(); }
@@ -42,6 +51,17 @@ class LrcProtocol : public ProtocolNode {
   void OnBarrierReleased() override;
 
  private:
+  // Brings the page's pending notices up to date (LrcPageTable::Resolve),
+  // unmapping and forgetting the copy if a GC dropped it meanwhile. Runs
+  // before anything reads the page's notices, copy or covered stamps.
+  void Resolve(PageId page);
+  bool HasPending(PageId page) {
+    Resolve(page);
+    return meta_.HasPending(page);
+  }
+  // Where to fetch the page after a GC: its validator at its latest GC.
+  NodeId OwnerHint(PageId page) const;
+
   Task<void> FetchDiffs(PageId page);
   Task<void> FetchFullPage(PageId page);
 
@@ -56,13 +76,15 @@ class LrcProtocol : public ProtocolNode {
   Task<void> ValidateForGc(std::vector<PageId> pages);
   void HandleGcDone();
 
-  // Pending write notices, covered stamps, stored diffs, owner hints and
-  // in-flight faults, one entry per page.
+  // Pending write notices, covered stamps, stored diffs and in-flight
+  // faults, one entry per page.
   LrcPageTable meta_;
 
-  // GC state (node side): the current GC's validator of each page, ascending
-  // by page as the manager sent them; null outside a GC.
+  // GC state (node side): the current GC's round as the manager sent it,
+  // null outside a GC; and the latest round released here, whose owners
+  // answer OwnerHint (null before the first GC).
   GcValidators gc_validators_;
+  GcValidators gc_owners_;
 
   // TestMutation::kLrcSkipInvalidate fires once per run.
   bool mutation_fired_ = false;
@@ -89,7 +111,8 @@ struct DiffRequestPayload : Payload {
 struct DiffReplyPayload : Payload {
   PageId page;
   NodeId writer;
-  std::vector<std::pair<uint32_t, Diff>> diffs;
+  // Shared handles to the writer's stored diffs (no byte copies).
+  std::vector<std::pair<uint32_t, std::shared_ptr<const Diff>>> diffs;
 };
 
 struct HomelessPageRequestPayload : Payload {

@@ -26,6 +26,7 @@
 #include "src/mem/diff.h"
 #include "src/mem/small_vec.h"
 #include "src/proto/interval_log.h"
+#include "src/proto/page_runs.h"
 #include "src/sim/completion.h"
 #include "src/tracing/span.h"
 
@@ -94,7 +95,10 @@ inline int RaiseStamp(Stamps* stamps, int nodes, NodeId writer, uint32_t id) {
 // One of this node's own diffs, kept until the next GC (paper §3.5).
 struct StoredDiff {
   IntervalPtr rec;  // The interval that produced it (id, vector timestamp).
-  Diff diff;
+  // Immutable and shared with every diff reply that carries it: a reply
+  // copies no diff bytes, and a GC's ClearDiffs leaves in-flight replies
+  // their handle.
+  std::shared_ptr<const Diff> diff;
   bool ready = true;
   // Lazy diff policy: the creation cost is deferred to the first request.
   bool cost_charged = true;
@@ -107,7 +111,8 @@ struct StoredDiff {
 // In-flight fault resolution for one page.
 struct LrcFaultCtx {
   int replies_needed = 0;
-  std::vector<std::pair<IntervalPtr, Diff>> collected;  // From diff replies.
+  // From diff replies: each pending notice's interval and its writer's diff.
+  std::vector<std::pair<IntervalPtr, std::shared_ptr<const Diff>>> collected;
   std::vector<std::byte> page_data;
   std::vector<std::pair<NodeId, uint32_t>> page_covered;
   std::unique_ptr<Completion> done;
@@ -120,23 +125,115 @@ struct LrcColdMeta {
   std::unique_ptr<LrcFaultCtx> fault;
 };
 
-// Hot part: every node keeps one for every page it hears a notice of.
+// Hot part: a node keeps one for every page it faulted on, wrote or
+// served.
 struct LrcPageMeta {
   using Cold = LrcColdMeta;
-  std::vector<IntervalPtr> pending;  // Write notices the copy lacks.
-  NodeId owner_hint = kInvalidNode;  // Where to fetch the page after GC.
+  // Write notices the copy lacks, ascending by (writer, id), as of notice
+  // `resolved`; the table's per-writer index holds the later ones.
+  std::vector<IntervalPtr> pending;
+  uint32_t resolved = 0;
+  bool held = false;  // Listed in the table's held pages.
   std::unique_ptr<LrcColdMeta> cold;
 };
 
+// A node's pending write notices are not listed per page as they arrive
+// (docs/PERFORMANCE.md, "Write-notice work"). Applying an interval only
+// invalidates the pages mapped here; every notice stays in its sealed
+// interval record. The records are indexed per writer by page runs and
+// numbered in the order they were learned. Resolve(page) lists the notices
+// numbered after the page's `resolved` mark, costing O(writers x log runs)
+// however many intervals are known. It runs before anything reads the
+// page's notices, copy or covered stamps. The modelled memory counts every
+// pending notice from the moment it is learned, wherever it is kept.
+//
+// Garbage collection releases pending notices the same way. At a GC
+// release every page holding pending notices here has its copy dropped
+// (its last writer validated it). The pages "held" here, those with listed
+// notices or covered stamps, are dropped one by one. Every other page's
+// notices are unlisted ones: the GC records their pages by run instead
+// (`gc_dropped_`), and Resolve drops the copy the next time the page is
+// asked for.
 class LrcPageTable : public PageMetaArray<LrcPageMeta> {
  public:
   explicit LrcPageTable(int nodes) : nodes_(nodes) {}
 
-  void AddNotice(PageId page, const IntervalPtr& rec) {
-    at(page).pending.push_back(rec);
-    ++pending_count_;
+  // Numbers the next interval learned: 1, 2, ...
+  uint32_t NextNotice() { return ++notice_seq_; }
+  // The kLrcSkipInvalidate mutation drops the notice of interval `seq` for
+  // a page mapped here: it is never pending.
+  void SkipNotice(PageId page, uint32_t seq) {
+    at(page).resolved = seq;
+    Hold(page);
   }
+  // The `count` pending notices of interval `seq`: indexed, not listed.
+  void AddNotices(const IntervalPtr& rec, uint32_t seq, int64_t count) {
+    if (writers_.empty()) {
+      writers_.resize(static_cast<size_t>(nodes_));
+    }
+    WriterNotices& wn = writers_[static_cast<size_t>(rec->writer)];
+    const uint32_t pos = static_cast<uint32_t>(wn.recs.size());
+    wn.recs.emplace_back(seq, rec);
+    ForEachPageRun(rec->pages, [&](PageId first, PageId last) {
+      wn.pages.Update(first, last,
+                      [pos](PageId, PageId, std::vector<uint32_t>& list) { list.push_back(pos); });
+      latest_.Update(first, last, [seq](PageId, PageId, uint32_t& latest) { latest = seq; });
+    });
+    pending_count_ += count;
+    unlisted_count_ += count;
+  }
+
+  // Brings the page's pending list up to date. Returns true if a GC has
+  // dropped the page's copy since it was last resolved: the caller then
+  // unmaps the copy and forgets it.
+  bool Resolve(PageId page) {
+    LrcPageMeta& m = at(page);
+    if (m.resolved == notice_seq_) {
+      return false;  // Nothing learned, and no GC drop, since the last call.
+    }
+    const uint32_t* gc = gc_dropped_.Find(page);
+    const bool dropped = gc != nullptr && *gc > m.resolved;
+    // A dropped page held nothing: its notices were all unlisted ones.
+    HLRC_DCHECK(!dropped || (m.pending.empty() && cold(page).covered.empty()));
+    if (!UnlistedSince(page, m.resolved)) {
+      m.resolved = notice_seq_;
+      return dropped;
+    }
+    const size_t listed = m.pending.size();
+    for (const WriterNotices& wn : writers_) {
+      if (wn.recs.empty() || wn.recs.back().first <= m.resolved) {
+        continue;
+      }
+      const std::vector<uint32_t>* list = wn.pages.Find(page);
+      if (list == nullptr) {
+        continue;
+      }
+      auto it = std::partition_point(list->begin(), list->end(), [&](uint32_t i) {
+        return wn.recs[i].first <= m.resolved;
+      });
+      for (; it != list->end(); ++it) {
+        m.pending.push_back(wn.recs[*it].second);
+      }
+    }
+    m.resolved = notice_seq_;
+    unlisted_count_ -= static_cast<int64_t>(m.pending.size() - listed);
+    if (listed > 0) {
+      std::inplace_merge(m.pending.begin(), m.pending.begin() + static_cast<ptrdiff_t>(listed),
+                         m.pending.end(), NoticeLess);
+    }
+    Hold(page);
+    return dropped;
+  }
+  // Whether the page has pending notices, listed or not, without resolving
+  // it.
+  bool AnyPending(PageId page) const {
+    const LrcPageMeta& m = get(page);
+    return !m.pending.empty() || UnlistedSince(page, m.resolved);
+  }
+
+  // The pending list as of the last Resolve.
   bool HasPending(PageId page) const { return !get(page).pending.empty(); }
+  const std::vector<IntervalPtr>& Pending(PageId page) const { return get(page).pending; }
   // The pending notice of (writer, id); aborts if there is none.
   const IntervalPtr& PendingNotice(PageId page, NodeId writer, uint32_t id) const {
     const std::vector<IntervalPtr>& pending = get(page).pending;
@@ -162,6 +259,7 @@ class LrcPageTable : public PageMetaArray<LrcPageMeta> {
   uint32_t Covered(PageId page, NodeId writer) const { return StampOf(cold(page).covered, writer); }
   void SetCovered(PageId page, NodeId writer, uint32_t id) {
     covered_pages_ += RaiseStamp(&cold_at(page).covered, nodes_, writer, id);
+    Hold(page);
   }
 
   void AddDiff(PageId page, StoredDiff sd) {
@@ -212,12 +310,46 @@ class LrcPageTable : public PageMetaArray<LrcPageMeta> {
       --covered_pages_;
     }
   }
-  // kInvalidNode until a GC named the page's validator.
-  NodeId OwnerHint(PageId page) const { return get(page).owner_hint; }
-  void SetOwnerHint(PageId page, NodeId owner) {
-    owner_hints_ += at(page).owner_hint == kInvalidNode ? 1 : 0;
-    at(page).owner_hint = owner;
+  // GC release. Each held page with pending notices, listed or not, asks
+  // `drop(page)`: a stale copy the caller unmaps is forgotten here, notices
+  // and covered stamps, without resolving it; a kept one is resolved. Every
+  // other unlisted notice names a page held nowhere here:
+  // the table drops them all and records their pages by run, so that
+  // Resolve drops those copies the next time each page is asked for.
+  // Only pages that still have notices or covered stamps stay held.
+  template <typename Drop>
+  void ReleaseGc(Drop drop) {
+    for (size_t i = 0; i < held_.size(); ++i) {  // Resolve adds no pages.
+      const PageId page = held_[i];
+      if (AnyPending(page)) {
+        if (drop(page)) {
+          DropCopy(page);
+        } else {
+          Resolve(page);
+        }
+      }
+      at(page).resolved = notice_seq_;
+    }
+    auto kept = std::remove_if(held_.begin(), held_.end(), [this](PageId page) {
+      LrcPageMeta& m = at(page);
+      m.held = !m.pending.empty() || !cold(page).covered.empty();
+      return !m.held;
+    });
+    held_.erase(kept, held_.end());
+    for (WriterNotices& wn : writers_) {
+      wn.recs.clear();
+      wn.pages.clear();
+    }
+    for (const auto& run : latest_.runs()) {
+      gc_dropped_.Update(run.first, run.last,
+                         [this](PageId, PageId, uint32_t& seq) { seq = notice_seq_; });
+    }
+    latest_.clear();
+    pending_count_ -= unlisted_count_;
+    unlisted_count_ = 0;
   }
+  // Pages that every GC so far named (modelled as one owner hint each).
+  void SetOwnerHints(int64_t pages) { owner_hints_ = pages; }
 
   int64_t diff_count() const { return diff_count_; }
   int64_t pending_count() const { return pending_count_; }
@@ -229,11 +361,41 @@ class LrcPageTable : public PageMetaArray<LrcPageMeta> {
   }
 
  private:
+  // One writer's notices since the last GC: its records as learned (notice
+  // number, record), and for each page run the positions of the records
+  // naming it.
+  struct WriterNotices {
+    std::vector<std::pair<uint32_t, IntervalPtr>> recs;
+    PageRuns<std::vector<uint32_t>> pages;
+  };
+
+  static bool NoticeLess(const IntervalPtr& a, const IntervalPtr& b) {
+    return a->writer != b->writer ? a->writer < b->writer : a->id < b->id;
+  }
+  // Whether an unlisted notice numbered after `seq` names the page.
+  bool UnlistedSince(PageId page, uint32_t seq) const {
+    const uint32_t* latest = latest_.Find(page);
+    return latest != nullptr && *latest > seq;
+  }
+  void Hold(PageId page) {
+    LrcPageMeta& m = at(page);
+    if (!m.held) {
+      m.held = true;
+      held_.push_back(page);
+    }
+  }
+
   int nodes_;
+  uint32_t notice_seq_ = 0;
+  std::vector<WriterNotices> writers_;  // Per writer; sized on first use.
+  PageRuns<uint32_t> latest_;           // The newest notice of each page.
+  PageRuns<uint32_t> gc_dropped_;        // Notice number of the page's last GC drop.
+  std::vector<PageId> held_;
   std::vector<PageId> diff_pages_;  // Pages with a non-empty diff list.
   int64_t diff_count_ = 0;
   int64_t diff_bytes_ = 0;
-  int64_t pending_count_ = 0;
+  int64_t pending_count_ = 0;   // Listed and unlisted.
+  int64_t unlisted_count_ = 0;  // Unlisted only.
   int64_t covered_pages_ = 0;
   int64_t owner_hints_ = 0;
 };
@@ -282,11 +444,16 @@ struct HlrcColdMeta {
   WriterStreak streak;
 };
 
-// Hot part: every node keeps one for every page it hears a notice of.
+// Hot part: a node keeps one for every page it maps, homes, wrote or
+// faulted on.
 struct HlrcPageMeta {
   using Cold = HlrcColdMeta;
-  Required required;            // Faulting side; never shrinks.
-  uint64_t required_epoch = 0;  // Bumped whenever `required` grows.
+  // Faulting side; never shrinks. Complete for the pages that take write
+  // notices eagerly (mapped or homed here); for any other page, the notices
+  // since its last Resolve are in the table's per-writer summaries.
+  Required required;
+  uint32_t required_epoch = 0;  // Bumped whenever `required` grows.
+  uint32_t resolved = 0;        // The table's deferral count at the last Resolve.
   std::unique_ptr<FaultWait> fault;
   std::unique_ptr<HlrcColdMeta> cold;
 };
@@ -295,18 +462,49 @@ class HlrcPageTable : public PageMetaArray<HlrcPageMeta> {
  public:
   explicit HlrcPageTable(int nodes) : nodes_(nodes) {}
 
+  // Raises `writer`'s required stamp of `page` to at least `id`: an own
+  // flush, or a write notice taken eagerly (the page is mapped or homed
+  // here).
   void UpdateRequired(PageId page, NodeId writer, uint32_t id) {
-    HlrcPageMeta& m = at(page);
-    for (FlushStamp& s : m.required) {
-      if (s.writer == writer) {
-        m.required_epoch += id > s.id ? 1 : 0;
-        s.id = std::max(s.id, id);
-        return;
+    if (RaiseRequired(page, writer, id) && !Summarized(page, writer)) {
+      ++stamps_;
+    }
+  }
+  // Write notices of `writer`'s interval `id` for pages [first, last], none
+  // of them mapped or homed here: recorded in the writer's run summary of
+  // the highest interval that wrote each page, not in the pages' stamps.
+  void DeferNotices(NodeId writer, uint32_t id, PageId first, PageId last) {
+    if (notices_.empty()) {
+      notices_.resize(static_cast<size_t>(nodes_));
+      deferred_at_.resize(static_cast<size_t>(nodes_));
+    }
+    deferred_at_[static_cast<size_t>(writer)] = ++deferrals_;
+    notices_[static_cast<size_t>(writer)].Update(
+        first, last, [&](PageId a, PageId b, uint32_t& latest) {
+          if (latest == 0) {  // Pages this writer's summary names for the first time.
+            for (PageId page = a; page <= b; ++page) {
+              stamps_ += HasStamp(page, writer) ? 0 : 1;
+            }
+          }
+          latest = id;
+        });
+  }
+  // Folds the summarized notices of `page` into its required stamps, as if
+  // each had been taken eagerly: O(writers x log runs), searching only the
+  // summaries of writers that deferred notices since the page's last call.
+  void Resolve(PageId page) {
+    const uint32_t since = at(page).resolved;
+    if (since == deferrals_) {
+      return;
+    }
+    for (size_t w = 0; w < notices_.size(); ++w) {
+      if (deferred_at_[w] > since) {
+        if (const uint32_t* id = notices_[w].Find(page)) {
+          RaiseRequired(page, static_cast<NodeId>(w), *id);
+        }
       }
     }
-    m.required.push_back(FlushStamp{writer, id});
-    ++m.required_epoch;
-    ++required_stamps_;
+    at(page).resolved = deferrals_;
   }
   // Whether the home has applied every flush this node requires of `page`.
   bool RequiredApplied(PageId page) const { return AppliedSatisfies(page, get(page).required); }
@@ -387,14 +585,46 @@ class HlrcPageTable : public PageMetaArray<HlrcPageMeta> {
     return taken;
   }
 
-  // Per-page flush timestamps (paper §4.7: no vector timestamps).
+  // Per-page flush timestamps (paper §4.7: no vector timestamps): one
+  // required stamp per (page, writer) pair ever announced or flushed,
+  // whether a page's stamps or a writer's summary holds it.
   int64_t MemoryBytes() const {
-    return required_stamps_ * 8 + applied_pages_ * 4 * nodes_ + overrides_ * 8 + streaks_ * 12;
+    return stamps_ * 8 + applied_pages_ * 4 * nodes_ + overrides_ * 8 + streaks_ * 12;
   }
 
  private:
+  bool HasStamp(PageId page, NodeId writer) const {
+    const Required& required = get(page).required;
+    return std::any_of(required.begin(), required.end(),
+                       [writer](const FlushStamp& s) { return s.writer == writer; });
+  }
+  bool Summarized(PageId page, NodeId writer) const {
+    return !notices_.empty() && notices_[static_cast<size_t>(writer)].Find(page) != nullptr;
+  }
+  // Raises the stamp (bumping the epoch if it grows); true if it is new.
+  bool RaiseRequired(PageId page, NodeId writer, uint32_t id) {
+    HlrcPageMeta& m = at(page);
+    for (FlushStamp& s : m.required) {
+      if (s.writer == writer) {
+        if (id > s.id) {
+          s.id = id;
+          ++m.required_epoch;
+        }
+        return false;
+      }
+    }
+    m.required.push_back(FlushStamp{writer, id});
+    ++m.required_epoch;
+    return true;
+  }
+
   int nodes_;
-  int64_t required_stamps_ = 0;
+  // Per writer, the highest interval announced for each page whose notice
+  // was not taken eagerly; sized on the first such notice.
+  std::vector<PageRuns<uint32_t>> notices_;
+  std::vector<uint32_t> deferred_at_;  // Per writer: `deferrals_` at its latest.
+  uint32_t deferrals_ = 0;             // DeferNotices calls so far.
+  int64_t stamps_ = 0;  // Distinct (page, writer) pairs, stamps or summaries.
   int64_t applied_pages_ = 0;
   int64_t overrides_ = 0;
   int64_t streaks_ = 0;

@@ -131,6 +131,33 @@ NodeId ProtocolNode::HomeOf(PageId page) const {
   return 0;
 }
 
+NodeId ProtocolNode::HomeRun(PageId page, PageId* last) const {
+  *last = page;
+  switch (env_.options->home_policy) {
+    case HomePolicy::kBlock:
+      if (env_.space != nullptr) {
+        if (const SharedSpace::Allocation* alloc = env_.space->AllocationOf(page)) {
+          // Node h homes the allocation's pages first + [ceil(h * span / N),
+          // ceil((h + 1) * span / N)).
+          const int64_t span = alloc->last_page - alloc->first_page + 1;
+          const NodeId home = static_cast<NodeId>(
+              static_cast<int64_t>(page - alloc->first_page) * env_.nodes / span);
+          const int64_t end = ((home + 1) * span + env_.nodes - 1) / env_.nodes;
+          *last = static_cast<PageId>(
+              std::min<int64_t>(alloc->first_page + end - 1, alloc->last_page));
+          return home;
+        }
+      }
+      return HomeOf(page);
+    case HomePolicy::kRoundRobin:
+      return HomeOf(page);
+    case HomePolicy::kSingleNode:
+      *last = env_.pages->num_pages() - 1;
+      return 0;
+  }
+  return HomeOf(page);
+}
+
 void ProtocolNode::NoteMemory() {
   if (known_interval_bytes_ > stats_.interval_meta_highwater) {
     stats_.interval_meta_highwater = known_interval_bytes_;
@@ -246,18 +273,13 @@ SimTime ProtocolNode::ApplyIntervals(const IntervalBatch& recs) {
     vt_.Set(rec.writer, std::max(vt_.Get(rec.writer), rec.id));
     HLRC_TRACE("[%lld] node %d: apply interval (w=%d id=%u) %zu pages", (long long)engine()->Now(),
                env_.self, rec.writer, rec.id, rec.pages.size());
-    stats_.write_notices_received += static_cast<int64_t>(rec.pages.size());
-    cost += costs().wn_apply * static_cast<SimTime>(rec.pages.size());
-    for (PageId p : rec.pages) {
-      const PageProt before = env_.pages->State(p).prot();
-      const bool did_invalidate = OnWriteNotice(handle, p);
-      if (did_invalidate) {
-        ++invalidated;
-      }
-      Cover(CoverageObserver::Domain::kPageTransition,
-            (static_cast<uint64_t>(before) << 8) |
-                static_cast<uint64_t>(env_.pages->State(p).prot()),
-            did_invalidate ? 1 : 0);  // Cause 1: invalidated, 0: kept.
+    const int64_t notices = static_cast<int64_t>(rec.pages.size());
+    stats_.write_notices_received += notices;
+    cost += costs().wn_apply * static_cast<SimTime>(notices);
+    const NoticeWalk walk = OnIntervalNotices(handle);
+    invalidated += walk.invalidated;
+    if (walk.eager < notices) {
+      CoverNotice(PageProt::kNone, PageProt::kNone, notices - walk.eager);
     }
     known_interval_bytes_ += IntervalBytes(rec);
     interval_log_.Append(handle);  // Shared handle: no record copy.

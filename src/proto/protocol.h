@@ -187,10 +187,20 @@ class ProtocolNode {
   virtual void OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
                                 CloseActions* actions) = 0;
 
-  // Invalidation bookkeeping for one write notice of the sealed record `rec`.
-  // Returns true if the page mapping was actually invalidated (for cost
-  // accounting).
-  virtual bool OnWriteNotice(const IntervalPtr& rec, PageId page) = 0;
+  // Write-notice handling for one newly learned interval, called once per
+  // interval: ApplyIntervals has already counted the record's notices and
+  // charged `wn_apply` for each (docs/PERFORMANCE.md, "Write-notice work").
+  // The subclass walks the record's sorted page list and works only on the
+  // pages that need a protection or home-side decision now: pages mapped
+  // here and, for the home-based protocols, pages homed here. It emits their
+  // coverage with CoverNotice. Every other page's notice stays in the sealed
+  // record until a fault, a page request or garbage collection asks for it;
+  // ApplyIntervals covers those pages in bulk (unmapped, kept unmapped).
+  struct NoticeWalk {
+    int64_t eager = 0;        // Pages handled now.
+    int64_t invalidated = 0;  // Of those, mappings invalidated (for costs).
+  };
+  virtual NoticeWalk OnIntervalNotices(const IntervalPtr& rec) = 0;
 
   // Brings `page` up to date after a fault. The page-fault entry cost has
   // already been charged. Runs on the faulting node's app coroutine.
@@ -266,6 +276,10 @@ class ProtocolNode {
 
   // Home of a page under the configured policy (home-based protocols).
   NodeId HomeOf(PageId page) const;
+  // HomeOf(page), with `*last` set to the last page of the run from `page`
+  // on that has the same home: a walk over sorted pages resolves the home
+  // once per run instead of once per page.
+  NodeId HomeRun(PageId page, PageId* last) const;
 
   bool overlapped() const { return IsOverlapped(env_.options->kind); }
   bool home_based() const { return IsHomeBased(env_.options->kind); }
@@ -337,11 +351,19 @@ class ProtocolNode {
     void Finish();
   };
 
-  // Coverage emission helper (no-op when no observer is installed).
-  void Cover(CoverageObserver::Domain domain, uint64_t a, uint64_t b) const {
+  // Coverage emission helper (no-op when no observer is installed): the
+  // point emitted `n` times.
+  void Cover(CoverageObserver::Domain domain, uint64_t a, uint64_t b, int64_t n = 1) const {
     if (coverage_ != nullptr) {
-      coverage_->Cover(domain, a, b);
+      coverage_->Cover(domain, a, b, n);
     }
+  }
+  // The kPageTransition point of `n` write notices that moved a page from
+  // `before` to `after` (cause 1: invalidated, 0: kept).
+  void CoverNotice(PageProt before, PageProt after, int64_t n = 1) const {
+    Cover(CoverageObserver::Domain::kPageTransition,
+          (static_cast<uint64_t>(before) << 8) | static_cast<uint64_t>(after),
+          before != after ? 1 : 0, n);
   }
 
   // ---- Span tracing (src/tracing/span.h) -----------------------------------

@@ -340,6 +340,35 @@ TEST(BenchArgs, RejectsProbes) {
   }
 }
 
+// A benchmark comparing a fixed protocol pair (table5_traffic: LRC vs HLRC)
+// runs both by default, only the listed ones under --protocols, and rejects
+// a list naming any other protocol with a one-line reason naming the pair.
+TEST(BenchArgs, SelectProtocolsHonoursTheFlag) {
+  const std::vector<ProtocolKind> pair = {ProtocolKind::kLrc, ProtocolKind::kHlrc};
+  auto select = [&pair](std::vector<std::string> args, std::vector<ProtocolKind>* out) {
+    args.insert(args.begin(), "bench");
+    std::vector<char*> argv;
+    for (std::string& a : args) {
+      argv.push_back(a.data());
+    }
+    bench::BenchOptions opts;
+    EXPECT_EQ(bench::ParseArgs(static_cast<int>(argv.size()), argv.data(), &opts), "");
+    return bench::SelectProtocols(opts, pair, out);
+  };
+  std::vector<ProtocolKind> got;
+  EXPECT_EQ(select({"--nodes=8"}, &got), "");
+  EXPECT_EQ(got, pair);
+  EXPECT_EQ(select({"--protocols=hlrc"}, &got), "");
+  EXPECT_EQ(got, std::vector<ProtocolKind>{ProtocolKind::kHlrc});
+  EXPECT_EQ(select({"--protocols=hlrc,lrc"}, &got), "");
+  EXPECT_EQ(got, pair);
+  for (const char* bad : {"--protocols=olrc", "--protocols=lrc,aurc", "--protocols=erc"}) {
+    const std::string why = select({bad}, &got);
+    EXPECT_NE(why.find("lrc and hlrc"), std::string::npos) << bad << ": '" << why << "'";
+    EXPECT_EQ(why.find('\n'), std::string::npos) << bad;
+  }
+}
+
 // --jobs bounds are checked at parse level only: no sweep is launched.
 TEST(CheckArgs, JobsSeedsAndRounds) {
   auto parse = [](std::vector<std::string> args) {

@@ -69,6 +69,25 @@ TEST(CoverageMap, MergeIsOrderIndependentAndCountsNovelty) {
   EXPECT_EQ(merged_xy.MergeNovel(x), 0);  // Idempotent.
 }
 
+TEST(CoverageMap, CountedCoverEqualsThatManySingleCalls) {
+  // Write-notice handling emits the points of a batch of unmapped pages with
+  // one counted call; the map must not be able to tell.
+  for (const int64_t n : {1, 2, 7, 8064}) {
+    CoverageMap counted(1), single(1);
+    counted.Cover(CoverageObserver::Domain::kMsgEdge, 3, 4);
+    single.Cover(CoverageObserver::Domain::kMsgEdge, 3, 4);
+    counted.Cover(CoverageObserver::Domain::kPageTransition, 0, 0, n);
+    for (int64_t i = 0; i < n; ++i) {
+      single.Cover(CoverageObserver::Domain::kPageTransition, 0, 0);
+    }
+    EXPECT_EQ(counted.points(), single.points()) << n;
+    EXPECT_EQ(counted.hits(), single.hits()) << n;
+    EXPECT_EQ(counted.hits(), n + 1);
+    EXPECT_EQ(counted.Fingerprint(), single.Fingerprint()) << n;
+    EXPECT_EQ(counted.Report(), single.Report()) << n;
+  }
+}
+
 TEST(CoverageMap, SaltSeparatesProtocolPointSpaces) {
   CoverageMap hlrc(3), lrc(1);
   hlrc.Cover(CoverageObserver::Domain::kMsgEdge, 1, 2);

@@ -1,14 +1,18 @@
-// Differential tests for dense per-page protocol state (docs/PERFORMANCE.md,
-// "Per-page protocol state"): the PageId-indexed LrcPageTable / HlrcPageTable
-// must behave exactly like the page-keyed maps LrcProtocol and HlrcProtocol
-// kept before them. The replaced maps are copied below verbatim as the
-// reference model. ~1000 randomized episodes per family drive both through
-// write notices, covered/applied updates, fetch completion, GC
-// inventory/validate/release, barriers without GC (interval-log truncation
-// while notices survive) and home migration with parked requests. After
-// every step the two must agree on every surviving entry, on iteration
-// order, and on the modelled memory; the incremental counters are also
-// checked against a recount from scratch.
+// Differential tests for per-page protocol state (docs/PERFORMANCE.md,
+// "Per-page protocol state" and "Write-notice work"). The LrcPageTable /
+// HlrcPageTable, driven the way LrcProtocol and HlrcProtocol drive them,
+// must behave exactly like the page-keyed maps the protocols kept before
+// them, which took every write notice page by page. The replaced maps are
+// copied below as the reference model. ~1000 randomized episodes per family
+// interleave interval application (eager for mapped or homed pages,
+// deferred for the rest), faults and diff/page fetches with notices
+// arriving mid-fetch, own interval closes, GC inventory/validate/release,
+// barriers without GC (interval-log truncation while notices survive),
+// the lrc-skip-invalidate canary, and home migration with parked requests.
+// After every step the two must agree on each page the step resolved -- its
+// pending list (contents and per-writer order), required stamps, required-
+// epoch change detection, copy state and owner hint -- and on the modelled
+// memory; at the end of an episode, on every page.
 #include "src/proto/page_meta.h"
 
 #include <gtest/gtest.h>
@@ -111,18 +115,44 @@ class RefLrc {
     }
   }
 
-  // FetchDiffs after the replies: collected diffs sorted in happens-before
-  // order, applied, then pruned. Returns the (writer, id) apply order.
-  std::vector<std::pair<NodeId, uint32_t>> CompleteDiffFetch(PageId page) {
-    std::vector<std::tuple<VectorClock, uint32_t, NodeId, Diff>> collected;
+  // FetchDiffs: one request per writer, writers ascending, each writer's
+  // ids in arrival order (the stable sort of the replaced protocol code).
+  std::vector<std::pair<NodeId, std::vector<uint32_t>>> FetchRequests(PageId page) const {
+    std::vector<std::pair<NodeId, uint32_t>> wanted;
     for (const PendingWn& wn : pending_.at(page)) {
-      collected.emplace_back(wn.vt, wn.id, wn.writer, Diff{});
+      wanted.emplace_back(wn.writer, wn.id);
+    }
+    std::stable_sort(wanted.begin(), wanted.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<std::pair<NodeId, std::vector<uint32_t>>> requests;
+    for (const auto& [writer, id] : wanted) {
+      if (requests.empty() || requests.back().first != writer) {
+        requests.emplace_back(writer, std::vector<uint32_t>{});
+      }
+      requests.back().second.push_back(id);
+    }
+    return requests;
+  }
+
+  // FetchDiffs after the replies to `requests`: the collected diffs sorted
+  // in happens-before order, applied, then pruned. Returns the apply order.
+  std::vector<std::pair<NodeId, uint32_t>> CompleteDiffFetch(
+      PageId page, const std::vector<std::pair<NodeId, std::vector<uint32_t>>>& requests) {
+    std::vector<std::tuple<VectorClock, uint32_t, NodeId>> collected;
+    for (const auto& [writer, ids] : requests) {
+      for (uint32_t id : ids) {
+        for (const PendingWn& wn : pending_.at(page)) {
+          if (wn.writer == writer && wn.id == id) {
+            collected.emplace_back(wn.vt, wn.id, wn.writer);
+          }
+        }
+      }
     }
     std::sort(collected.begin(), collected.end(), [](const auto& a, const auto& b) {
       return std::get<0>(a).TotalOrderLess(std::get<0>(b));
     });
     std::vector<std::pair<NodeId, uint32_t>> order;
-    for (auto& [vt, id, writer, diff] : collected) {
+    for (auto& [vt, id, writer] : collected) {
       order.emplace_back(writer, id);
       SetCovered(page, writer, id);
     }
@@ -406,98 +436,299 @@ std::vector<PageId> Keys(const std::unordered_map<PageId, std::vector<uint32_t>>
   return keys;
 }
 
-// Every surviving entry, in order, plus the memory model (incremental, the
-// reference's map-size formula, and a recount of the dense table).
-void ExpectSameLrc(const RefLrc& ref, const LrcPageTable& table, int nodes) {
-  int64_t pending = 0;
-  int64_t covered_pages = 0;
-  int64_t hints = 0;
-  int64_t diff_bytes = 0;
-  int64_t diffs = 0;
-  std::vector<std::pair<PageId, uint32_t>> diff_keys;
-  for (PageId page = 0; page < static_cast<PageId>(table.size()); ++page) {
-    const LrcPageMeta& m = table.get(page);
-    const LrcColdMeta& c = table.cold(page);
-    auto pit = ref.pending_.find(page);
-    const size_t ref_pending = pit == ref.pending_.end() ? 0 : pit->second.size();
-    ASSERT_EQ(m.pending.size(), ref_pending) << "page " << page;
-    for (size_t i = 0; i < m.pending.size(); ++i) {
-      const RefLrc::PendingWn& wn = pit->second[i];
-      EXPECT_EQ(m.pending[i]->writer, wn.writer);
-      EXPECT_EQ(m.pending[i]->id, wn.id);
-      EXPECT_TRUE(m.pending[i]->vt == wn.vt);
-    }
-    auto cit = ref.covered_.find(page);
-    EXPECT_EQ(!c.covered.empty(), cit != ref.covered_.end()) << "page " << page;
-    if (cit != ref.covered_.end()) {
-      EXPECT_EQ(c.covered, cit->second);
-    }
-    auto hit = ref.owner_hint_.find(page);
-    EXPECT_EQ(m.owner_hint, hit == ref.owner_hint_.end() ? kInvalidNode : hit->second);
-    auto lit = ref.latest_diff_id_.find(page);
-    EXPECT_EQ(!c.diffs.empty(), lit != ref.latest_diff_id_.end());
-    if (!c.diffs.empty()) {
-      EXPECT_EQ(c.diffs.back().rec->id, lit->second);
-    }
-    for (const StoredDiff& sd : c.diffs) {
-      diff_keys.emplace_back(page, sd.rec->id);
-      const RefLrc::StoredDiff& rsd = ref.diff_store_.at({page, sd.rec->id});
-      EXPECT_EQ(sd.bytes, rsd.bytes);
-      EXPECT_TRUE(sd.rec->vt == rsd.vt);
-      diff_bytes += sd.bytes;
-    }
-    pending += static_cast<int64_t>(m.pending.size());
-    covered_pages += c.covered.empty() ? 0 : 1;
-    hints += m.owner_hint == kInvalidNode ? 0 : 1;
-    diffs += static_cast<int64_t>(c.diffs.size());
-  }
-  // Pages past the table's end hold nothing in the reference either.
-  for (const auto& [page, v] : ref.pending_) {
-    EXPECT_LT(page, static_cast<PageId>(table.size()));
-  }
-  for (PageId page : Keys(ref.covered_)) {
-    EXPECT_LT(page, static_cast<PageId>(table.size()));
-  }
-  std::vector<std::pair<PageId, uint32_t>> ref_keys;
-  for (const auto& [key, sd] : ref.diff_store_) {
-    ref_keys.push_back(key);
-  }
-  EXPECT_EQ(diff_keys, ref_keys);  // Same diffs, same (page, id) order.
-  EXPECT_EQ(table.diff_count(), static_cast<int64_t>(ref.diff_store_.size()));
-  EXPECT_EQ(diffs, table.diff_count());
-  EXPECT_EQ(table.pending_count(), ref.pending_count_);
-  EXPECT_EQ(pending, ref.pending_count_);
-  EXPECT_EQ(static_cast<size_t>(covered_pages), ref.covered_.size());
-  EXPECT_EQ(static_cast<size_t>(hints), ref.owner_hint_.size());
-  const int64_t recount = diff_bytes + pending * (8 + 4 * static_cast<int64_t>(nodes)) +
-                          covered_pages * 4 * nodes + hints * 8;
-  EXPECT_EQ(table.MemoryBytes(), ref.SubclassMemoryBytes());
-  EXPECT_EQ(table.MemoryBytes(), recount);
-}
-
-// The same release walk as LrcProtocol::OnBarrierReleased, minus the
-// page-table updates.
-std::vector<PageId> ReleaseGc(LrcPageTable* table,
-                              const std::vector<std::pair<PageId, NodeId>>& validators,
-                              NodeId self) {
-  std::vector<PageId> dropped;
-  for (const auto& [page, validator] : validators) {
-    table->SetOwnerHint(page, validator);
-    if (validator != self && table->HasPending(page)) {
-      dropped.push_back(page);
-      table->DropCopy(page);
-    }
-  }
-  table->ClearDiffs();
-  return dropped;
-}
-
 // Page ids mostly in a small dense range, now and then a far one, so both
 // reuse and on-demand growth are exercised.
 PageId RandomPage(Rng* rng) {
   return rng->NextBool(0.03) ? static_cast<PageId>(rng->NextInt(100, 400))
                              : static_cast<PageId>(rng->NextInt(0, 40));
 }
+
+// An interval's sorted write-notice list: a few runs of consecutive pages,
+// so the per-writer run summaries split, extend and merge.
+PageList RandomPages(Rng* rng, int max_runs) {
+  std::set<PageId> page_set;
+  for (int i = static_cast<int>(rng->NextInt(1, max_runs)); i > 0; --i) {
+    const PageId first = RandomPage(rng);
+    for (PageId p = first; p < first + static_cast<PageId>(rng->NextInt(1, 5)); ++p) {
+      page_set.insert(p);
+    }
+  }
+  PageList pages;
+  pages.assign(page_set.begin(), page_set.end());
+  return pages;
+}
+
+// What the protocol keeps of a page besides its PageMeta: whether it is
+// mapped and whether the local frame holds a copy. Every page starts mapped
+// with a copy, like the zero-filled PageState.
+struct PageView {
+  bool mapped = true;
+  bool has_copy = true;
+  bool operator==(const PageView&) const = default;
+};
+
+// ---------------------------------------------------------------------------
+// LRC episodes: the reference takes every notice page by page; the table
+// side is driven as LrcProtocol drives it.
+
+class LrcModel {
+ public:
+  LrcModel(int nodes, NodeId self) : ref(nodes), table(nodes), self_(self) {}
+
+  // ApplyIntervals for one new interval. `skip` fires the lrc-skip-
+  // invalidate canary on the first mapped page.
+  void Apply(const IntervalPtr& rec, bool skip) {
+    bool ref_skip = skip;
+    for (PageId p : rec->pages) {
+      PageView& v = ref_pages[p];
+      if (v.mapped && ref_skip) {
+        ref_skip = false;
+        continue;
+      }
+      ref.OnWriteNotice(*rec, p);
+      v.mapped = false;
+    }
+    const uint32_t seq = table.NextNotice();
+    int64_t skipped = 0;
+    for (PageId p : rec->pages) {
+      PageView& v = table_pages[p];
+      if (!v.mapped) {
+        continue;
+      }
+      if (skip) {
+        skip = false;
+        table.SkipNotice(p, seq);
+        ++skipped;
+        continue;
+      }
+      v.mapped = false;
+    }
+    table.AddNotices(rec, seq, static_cast<int64_t>(rec->pages.size()) - skipped);
+  }
+
+  // LrcProtocol::Resolve.
+  void Resolve(PageId p) {
+    if (table.Resolve(p)) {
+      table_pages[p] = PageView{false, false};
+    }
+  }
+
+  NodeId OwnerHint(PageId p) const {
+    return static_cast<size_t>(p) < owners_.size() ? owners_[static_cast<size_t>(p)]
+                                                   : kInvalidNode;
+  }
+
+  // A resolved page must match the reference in full.
+  void ExpectSamePage(PageId p) {
+    Resolve(p);
+    EXPECT_TRUE(table_pages[p] == ref_pages[p]) << "page " << p;
+    const std::vector<IntervalPtr>& pending = table.Pending(p);
+    auto pit = ref.pending_.find(p);
+    std::vector<RefLrc::PendingWn> want;
+    if (pit != ref.pending_.end()) {
+      want = pit->second;
+    }
+    // The table keeps (writer, id) order; the reference arrival order. They
+    // must agree per writer, which is all FetchDiffs reads.
+    std::stable_sort(want.begin(), want.end(),
+                     [](const auto& a, const auto& b) { return a.writer < b.writer; });
+    ASSERT_EQ(pending.size(), want.size()) << "page " << p;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      EXPECT_EQ(pending[i]->writer, want[i].writer) << "page " << p;
+      EXPECT_EQ(pending[i]->id, want[i].id) << "page " << p;
+      EXPECT_TRUE(pending[i]->vt == want[i].vt);
+    }
+    auto cit = ref.covered_.find(p);
+    EXPECT_EQ(!table.cold(p).covered.empty(), cit != ref.covered_.end()) << "page " << p;
+    if (cit != ref.covered_.end()) {
+      EXPECT_EQ(table.cold(p).covered, cit->second);
+    }
+    auto hit = ref.owner_hint_.find(p);
+    EXPECT_EQ(OwnerHint(p), hit == ref.owner_hint_.end() ? kInvalidNode : hit->second);
+  }
+
+  // The modelled memory and notice count, which must hold without resolving.
+  void ExpectSameTotals() {
+    EXPECT_EQ(table.pending_count(), ref.pending_count_);
+    EXPECT_EQ(table.diff_count(), static_cast<int64_t>(ref.diff_store_.size()));
+    EXPECT_EQ(table.MemoryBytes(), ref.SubclassMemoryBytes());
+  }
+
+  // Every page, each stored diff, and a recount of the memory model.
+  void ExpectSameEverywhere(int nodes) {
+    std::set<PageId> all;
+    for (const auto& [p, v] : ref_pages) {
+      all.insert(p);
+    }
+    for (const auto& [p, v] : table_pages) {
+      all.insert(p);
+    }
+    for (PageId p = 0; p < static_cast<PageId>(table.size()); ++p) {
+      all.insert(p);
+    }
+    int64_t pending = 0;
+    int64_t covered_pages = 0;
+    int64_t diff_bytes = 0;
+    std::vector<std::pair<PageId, uint32_t>> diff_keys;
+    for (PageId p : all) {
+      ExpectSamePage(p);
+      pending += static_cast<int64_t>(table.Pending(p).size());
+      covered_pages += table.cold(p).covered.empty() ? 0 : 1;
+      for (const StoredDiff& sd : table.cold(p).diffs) {
+        diff_keys.emplace_back(p, sd.rec->id);
+        const RefLrc::StoredDiff& rsd = ref.diff_store_.at({p, sd.rec->id});
+        EXPECT_EQ(sd.bytes, rsd.bytes);
+        EXPECT_TRUE(sd.rec->vt == rsd.vt);
+        diff_bytes += sd.bytes;
+      }
+    }
+    std::vector<std::pair<PageId, uint32_t>> ref_keys;
+    for (const auto& [key, sd] : ref.diff_store_) {
+      ref_keys.push_back(key);
+    }
+    EXPECT_EQ(diff_keys, ref_keys);  // Same diffs, same (page, id) order.
+    EXPECT_EQ(pending, ref.pending_count_);
+    EXPECT_EQ(static_cast<size_t>(covered_pages), ref.covered_.size());
+    const int64_t recount = diff_bytes + pending * (8 + 4 * static_cast<int64_t>(nodes)) +
+                            covered_pages * 4 * nodes + owned_pages_ * 8;
+    EXPECT_EQ(table.MemoryBytes(), recount);
+    ExpectSameTotals();
+  }
+
+  // LrcProtocol::FetchDiffs's requests, checked against the reference.
+  std::vector<std::pair<NodeId, std::vector<uint32_t>>> FetchRequests(PageId p) {
+    Resolve(p);
+    std::vector<std::pair<NodeId, std::vector<uint32_t>>> requests;
+    for (const IntervalPtr& wn : table.Pending(p)) {
+      if (requests.empty() || requests.back().first != wn->writer) {
+        requests.emplace_back(wn->writer, std::vector<uint32_t>{});
+      }
+      requests.back().second.push_back(wn->id);
+    }
+    EXPECT_EQ(requests, ref.FetchRequests(p)) << "page " << p;
+    return requests;
+  }
+
+  // FetchDiffs after the replies: the same apply order on both sides.
+  void CompleteDiffFetch(PageId p,
+                         const std::vector<std::pair<NodeId, std::vector<uint32_t>>>& requests) {
+    std::vector<IntervalPtr> collected;
+    for (const auto& [writer, ids] : requests) {
+      for (uint32_t id : ids) {
+        collected.push_back(table.PendingNotice(p, writer, id));
+      }
+    }
+    std::sort(collected.begin(), collected.end(), [](const auto& a, const auto& b) {
+      return a->vt.TotalOrderLess(b->vt);
+    });
+    std::vector<std::pair<NodeId, uint32_t>> order;
+    for (const IntervalPtr& rec : collected) {
+      order.emplace_back(rec->writer, rec->id);
+      table.SetCovered(p, rec->writer, rec->id);
+    }
+    Resolve(p);
+    table.PrunePendingCovered(p);
+    EXPECT_EQ(order, ref.CompleteDiffFetch(p, requests));
+  }
+
+  // FetchFullPage after the reply: the server's covered stamps.
+  void CompletePageFetch(PageId p, const std::vector<std::pair<NodeId, uint32_t>>& covered) {
+    for (const auto& [w, id] : covered) {
+      ref.SetCovered(p, w, id);
+      table.SetCovered(p, w, id);
+    }
+    ref_pages[p].has_copy = true;
+    table_pages[p].has_copy = true;
+    ref.PrunePendingCovered(p);
+    Resolve(p);
+    table.PrunePendingCovered(p);
+  }
+
+  // GC: inventory, validators (one writer of each page written since the
+  // last GC), validation at this node, release.
+  void Gc(Rng* rng, const std::map<PageId, std::set<NodeId>>& window_writers) {
+    const auto ref_inv = ref.GcInventory();
+    const auto inv = table.Inventory();
+    ASSERT_EQ(inv.size(), ref_inv.size());
+    for (size_t i = 0; i < inv.size(); ++i) {
+      EXPECT_EQ(inv[i].first, std::get<0>(ref_inv[i]));
+      EXPECT_EQ(inv[i].second->id, std::get<1>(ref_inv[i]));
+      EXPECT_TRUE(inv[i].second->vt == std::get<2>(ref_inv[i]));
+    }
+    std::map<PageId, std::set<NodeId>> writers = window_writers;
+    for (const auto& [page, rec] : inv) {
+      writers[page].insert(self_);
+    }
+    std::vector<std::pair<PageId, NodeId>> validators;
+    for (const auto& [page, ws] : writers) {
+      auto it = ws.begin();
+      std::advance(it, static_cast<long>(rng->NextBounded(ws.size())));
+      validators.emplace_back(page, *it);
+    }
+    // Validation: the reference walks every validator entry, the protocol
+    // its own inventory.
+    ref.ApplyGcValidate(validators);
+    std::vector<PageId> ref_mine;
+    for (const auto& [page, v] : validators) {
+      if (v == self_ && ref.HasPending(page)) {
+        ref_mine.push_back(page);
+      }
+    }
+    std::vector<PageId> mine;
+    for (const auto& [page, rec] : inv) {
+      auto it = std::lower_bound(validators.begin(), validators.end(),
+                                 std::make_pair(page, kInvalidNode));
+      if (it != validators.end() && it->first == page && it->second == self_) {
+        Resolve(page);
+        if (table.HasPending(page)) {
+          mine.push_back(page);
+        }
+      }
+    }
+    EXPECT_EQ(mine, ref_mine);
+    for (PageId page : mine) {
+      while (ref.HasPending(page)) {
+        CompleteDiffFetch(page, FetchRequests(page));
+        if (::testing::Test::HasFailure()) {
+          return;
+        }
+      }
+      Resolve(page);
+      EXPECT_FALSE(table.HasPending(page));
+    }
+    for (PageId page : ref.OnBarrierReleased(self_)) {
+      ref_pages[page] = PageView{false, false};
+    }
+    table.ReleaseGc([&](PageId page) {
+      auto it = std::lower_bound(validators.begin(), validators.end(),
+                                 std::make_pair(page, kInvalidNode));
+      if (it == validators.end() || it->first != page || it->second == self_) {
+        return false;
+      }
+      table_pages[page] = PageView{false, false};
+      return true;
+    });
+    for (const auto& [page, v] : validators) {
+      if (static_cast<size_t>(page) >= owners_.size()) {
+        owners_.resize(static_cast<size_t>(page) + 1, kInvalidNode);
+      }
+      owned_pages_ += owners_[static_cast<size_t>(page)] == kInvalidNode ? 1 : 0;
+      owners_[static_cast<size_t>(page)] = v;
+    }
+    table.SetOwnerHints(owned_pages_);
+    table.ClearDiffs();
+  }
+
+  RefLrc ref;
+  LrcPageTable table;
+  std::map<PageId, PageView> ref_pages;
+  std::map<PageId, PageView> table_pages;
+
+ private:
+  NodeId self_;
+  std::vector<NodeId> owners_;  // The folded GC rounds' validators.
+  int64_t owned_pages_ = 0;
+};
 
 void RunLrcEpisode(uint64_t seed) {
   Rng rng(seed);
@@ -506,124 +737,146 @@ void RunLrcEpisode(uint64_t seed) {
   VtSource vts(&rng, nodes);
   std::vector<uint32_t> next_id(static_cast<size_t>(nodes), 0);
   IntervalLog log(nodes);
-  RefLrc ref(nodes);
-  LrcPageTable table(nodes);
+  LrcModel model(nodes, self);
+  bool canary = rng.NextBool(0.2);
+  std::map<PageId, std::set<NodeId>> window_writers;  // Since the last GC.
+  auto remote_interval = [&]() -> IntervalPtr {
+    NodeId w = self;
+    while (w == self) {
+      w = static_cast<NodeId>(rng.NextBounded(static_cast<uint64_t>(nodes)));
+    }
+    const uint32_t id = ++next_id[static_cast<size_t>(w)];
+    IntervalPtr rec = MakeRecord(w, id, vts.Next(w, id), RandomPages(&rng, 3));
+    log.Append(rec);
+    for (PageId p : rec->pages) {
+      window_writers[p].insert(w);
+    }
+    return rec;
+  };
 
   const int steps = static_cast<int>(rng.NextInt(20, 80));
   for (int step = 0; step < steps; ++step) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
-    const int op = static_cast<int>(rng.NextBounded(7));
-    if (op <= 1) {
+    std::vector<PageId> check;  // Pages this step resolves and compares.
+    const int op = static_cast<int>(rng.NextBounded(8));
+    if (op <= 2) {
       // A remote interval's write notices (barrier or lock grant).
-      const NodeId w = static_cast<NodeId>(rng.NextBounded(static_cast<uint64_t>(nodes)));
-      if (w == self) {
-        continue;
-      }
-      const uint32_t id = ++next_id[static_cast<size_t>(w)];
-      std::set<PageId> page_set;
-      for (int i = static_cast<int>(rng.NextInt(1, 4)); i > 0; --i) {
-        page_set.insert(RandomPage(&rng));
-      }
-      PageList pages;
-      pages.assign(page_set.begin(), page_set.end());
-      IntervalPtr rec = MakeRecord(w, id, vts.Next(w, id), pages);
-      log.Append(rec);
-      for (PageId p : rec->pages) {
-        ref.OnWriteNotice(*rec, p);
-        table.AddNotice(p, rec);
-      }
-    } else if (op == 2) {
-      // A local interval close storing diffs.
-      const uint32_t id = ++next_id[static_cast<size_t>(self)];
-      std::set<PageId> page_set;
-      for (int i = static_cast<int>(rng.NextInt(1, 3)); i > 0; --i) {
-        page_set.insert(RandomPage(&rng));
-      }
-      PageList pages;
-      pages.assign(page_set.begin(), page_set.end());
-      IntervalPtr rec = MakeRecord(self, id, vts.Next(self, id), pages);
-      log.Append(rec);
-      for (PageId p : rec->pages) {
-        const int64_t bytes = rng.NextInt(16, 600);
-        ref.StoreDiff(p, *rec, bytes);
-        table.SetCovered(p, self, id);
-        table.AddDiff(p, StoredDiff{rec, Diff{}, true, true, 0, bytes, {}});
-      }
+      const bool skip = canary && rng.NextBool(0.3);
+      canary = canary && !skip;
+      model.Apply(remote_interval(), skip);
     } else if (op == 3) {
-      // Diff fetch completion for a page with pending notices.
+      // A local interval close storing diffs. Its pages were write-faulted
+      // (resolved) during the interval.
+      const uint32_t id = ++next_id[static_cast<size_t>(self)];
+      IntervalPtr rec = MakeRecord(self, id, vts.Next(self, id), RandomPages(&rng, 2));
+      log.Append(rec);
+      for (PageId p : rec->pages) {
+        model.Resolve(p);
+        const int64_t bytes = rng.NextInt(16, 600);
+        model.ref.StoreDiff(p, *rec, bytes);
+        model.table.SetCovered(p, self, id);
+        model.table.AddDiff(p, StoredDiff{rec, std::make_shared<const Diff>(), true, true, 0,
+                                          bytes, {}});
+      }
+    } else if (op <= 5) {
+      // A fault (LrcProtocol::ResolveFault): a full-page fetch without a
+      // copy, a diff fetch with pending notices, else map the page. Other
+      // nodes' notices may arrive while a fetch is in flight.
       const PageId p = RandomPage(&rng);
-      ASSERT_EQ(table.HasPending(p), ref.HasPending(p));
-      if (!ref.HasPending(p)) {
-        continue;
+      model.ExpectSamePage(p);
+      if (!model.ref_pages[p].has_copy) {
+        EXPECT_EQ(model.OwnerHint(p), model.ref.owner_hint_.count(p) != 0
+                                          ? model.ref.owner_hint_.at(p)
+                                          : kInvalidNode);
+        while (rng.NextBool(0.3)) {
+          model.Apply(remote_interval(), false);
+        }
+        std::vector<std::pair<NodeId, uint32_t>> covered;
+        for (int i = static_cast<int>(rng.NextInt(0, 3)); i > 0; --i) {
+          covered.emplace_back(static_cast<NodeId>(rng.NextBounded(nodes)),
+                               static_cast<uint32_t>(rng.NextInt(1, 10)));
+        }
+        model.CompletePageFetch(p, covered);
+      } else if (model.ref.HasPending(p)) {
+        const auto requests = model.FetchRequests(p);
+        while (rng.NextBool(0.4)) {
+          IntervalPtr rec = remote_interval();
+          if (rng.NextBool(0.5) && !std::binary_search(rec->pages.begin(), rec->pages.end(), p)) {
+            // Make it name the page under fetch.
+            PageList pages = rec->pages;
+            std::set<PageId> with(pages.begin(), pages.end());
+            with.insert(p);
+            pages.assign(with.begin(), with.end());
+            const_cast<IntervalRecord&>(*rec).pages = pages;
+            const_cast<IntervalRecord&>(*rec).Seal();
+            window_writers[p].insert(rec->writer);
+          }
+          model.Apply(rec, false);
+        }
+        model.CompleteDiffFetch(p, requests);
+      } else {
+        model.ref_pages[p].mapped = true;
+        model.table_pages[p].mapped = true;
       }
-      for (const RefLrc::PendingWn& wn : ref.pending_.at(p)) {
-        EXPECT_EQ(table.PendingNotice(p, wn.writer, wn.id)->id, wn.id);
+      check.push_back(p);
+    } else if (op == 6) {
+      if (rng.NextBool(0.5)) {
+        // Barrier-time GC.
+        model.Gc(&rng, window_writers);
+        window_writers.clear();
       }
-      const auto ref_order = ref.CompleteDiffFetch(p);
-      std::vector<std::pair<IntervalPtr, Diff>> collected;
-      for (const IntervalPtr& wn : table.at(p).pending) {
-        collected.emplace_back(wn, Diff{});
-      }
-      std::sort(collected.begin(), collected.end(), [](const auto& a, const auto& b) {
-        return a.first->vt.TotalOrderLess(b.first->vt);
-      });
-      std::vector<std::pair<NodeId, uint32_t>> order;
-      for (const auto& [rec, diff] : collected) {
-        order.emplace_back(rec->writer, rec->id);
-        table.SetCovered(p, rec->writer, rec->id);
-      }
-      table.PrunePendingCovered(p);
-      EXPECT_EQ(order, ref_order);
-    } else if (op == 4) {
-      // Full-page fetch completion: the serving node's covered stamps.
-      const PageId p = RandomPage(&rng);
-      for (int i = static_cast<int>(rng.NextInt(0, 3)); i > 0; --i) {
-        const NodeId w = static_cast<NodeId>(rng.NextBounded(static_cast<uint64_t>(nodes)));
-        const uint32_t id = static_cast<uint32_t>(rng.NextInt(1, 10));
-        ref.SetCovered(p, w, id);
-        table.SetCovered(p, w, id);
-      }
-      ref.PrunePendingCovered(p);
-      table.PrunePendingCovered(p);
-    } else if (op == 5) {
-      // Barrier-time GC: inventory, validator assignment, release.
-      const auto ref_inv = ref.GcInventory();
-      const auto inv = table.Inventory();
-      ASSERT_EQ(inv.size(), ref_inv.size());
-      for (size_t i = 0; i < inv.size(); ++i) {
-        EXPECT_EQ(inv[i].first, std::get<0>(ref_inv[i]));
-        EXPECT_EQ(inv[i].second->id, std::get<1>(ref_inv[i]));
-        EXPECT_TRUE(inv[i].second->vt == std::get<2>(ref_inv[i]));
-      }
-      // Validators: this node for some inventory pages, other nodes for the
-      // rest and for pages only other nodes wrote. Ascending by page, as the
-      // manager sends them.
-      std::map<PageId, NodeId> assign;
-      for (const auto& [page, rec] : inv) {
-        assign[page] = rng.NextBool(0.5) ? self : static_cast<NodeId>(rng.NextBounded(nodes));
-      }
-      for (int i = static_cast<int>(rng.NextInt(0, 5)); i > 0; --i) {
-        assign.emplace(RandomPage(&rng), static_cast<NodeId>(rng.NextBounded(nodes)));
-      }
-      const std::vector<std::pair<PageId, NodeId>> validators(assign.begin(), assign.end());
-      ref.ApplyGcValidate(validators);
-      EXPECT_EQ(ReleaseGc(&table, validators, self), ref.OnBarrierReleased(self));
+      // Either way the barrier truncates the interval log; pending notices
+      // and stored diffs keep their records alive through their handles.
       log.Clear();
     } else {
-      // A barrier without GC truncates the interval log; pending notices and
-      // stored diffs keep their records alive through their handles.
-      log.Clear();
+      // A page request served from this node's copy.
+      check.push_back(RandomPage(&rng));
     }
-    ExpectSameLrc(ref, table, nodes);
+    for (PageId p : check) {
+      model.ExpectSamePage(p);
+    }
+    model.ExpectSameTotals();
     if (::testing::Test::HasFailure()) {
       return;
     }
   }
+  model.ExpectSameEverywhere(nodes);
 }
 
 // ---------------------------------------------------------------------------
 // HLRC episodes.
 
+// The page's required stamps as a set: the reference keeps arrival order,
+// the table arrival order for eager notices and writer order for resolved
+// ones, and no reader depends on the order.
+std::vector<std::pair<NodeId, uint32_t>> SortedRequired(const HlrcPageTable& table, PageId page) {
+  std::vector<std::pair<NodeId, uint32_t>> stamps;
+  for (const FlushStamp& s : table.get(page).required) {
+    stamps.emplace_back(s.writer, s.id);
+  }
+  std::sort(stamps.begin(), stamps.end());
+  return stamps;
+}
+std::vector<std::pair<NodeId, uint32_t>> SortedRequired(const RefHlrc& ref, PageId page) {
+  const RefHlrc::Required* req = ref.RequiredOf(page);
+  std::vector<std::pair<NodeId, uint32_t>> stamps;
+  if (req != nullptr) {
+    stamps = *req;
+  }
+  std::sort(stamps.begin(), stamps.end());
+  return stamps;
+}
+
+// One page after HlrcTable::Resolve: required stamps and whether the home
+// has applied them.
+void ExpectSameHlrcPage(const RefHlrc& ref, const HlrcPageTable& table, PageId page) {
+  EXPECT_EQ(SortedRequired(table, page), SortedRequired(ref, page)) << "page " << page;
+  const RefHlrc::Required* req = ref.RequiredOf(page);
+  EXPECT_EQ(table.RequiredApplied(page), req == nullptr || ref.AppliedSatisfies(page, *req))
+      << "page " << page;
+}
+
+// Every page, once each has been resolved.
 void ExpectSameHlrc(const RefHlrc& ref, const HlrcPageTable& table, int nodes) {
   int64_t stamps = 0;
   int64_t applied_pages = 0;
@@ -632,15 +885,7 @@ void ExpectSameHlrc(const RefHlrc& ref, const HlrcPageTable& table, int nodes) {
   for (PageId page = 0; page < static_cast<PageId>(table.size()); ++page) {
     const HlrcPageMeta& m = table.get(page);
     const HlrcColdMeta& c = table.cold(page);
-    const RefHlrc::Required* req = ref.RequiredOf(page);
-    ASSERT_EQ(m.required.size(), req == nullptr ? 0 : req->size()) << "page " << page;
-    for (size_t i = 0; i < m.required.size(); ++i) {
-      EXPECT_EQ(m.required[i].writer, (*req)[i].first);
-      EXPECT_EQ(m.required[i].id, (*req)[i].second);
-    }
-    EXPECT_EQ(m.required_epoch, ref.RequiredEpoch(page));
-    EXPECT_EQ(table.RequiredApplied(page),
-              req == nullptr || ref.AppliedSatisfies(page, *req));
+    ExpectSameHlrcPage(ref, table, page);
     auto ait = ref.applied_flush_.find(page);
     EXPECT_EQ(!c.applied.empty(), ait != ref.applied_flush_.end()) << "page " << page;
     if (ait != ref.applied_flush_.end()) {
@@ -704,17 +949,58 @@ void RunHlrcEpisode(uint64_t seed) {
   };
   RefHlrc ref(nodes);
   HlrcPageTable table(nodes);
+  // Whether this node maps the page; every page starts mapped.
+  std::map<PageId, bool> unmapped;
+  std::vector<uint32_t> next_id(static_cast<size_t>(nodes), 0);
+  // HlrcProtocol::BelievedHomeOf with migration on.
+  auto home_of = [&](PageId p) {
+    const NodeId moved = table.HomeOverride(p);
+    return moved == kInvalidNode ? static_home(p) : moved;
+  };
+  // A remote interval's write notices, HlrcProtocol::OnIntervalNotices
+  // against the reference's per-page OnWriteNotice: pages mapped or homed
+  // here are taken eagerly, runs of the others go to the writer's summary.
+  auto apply_interval = [&](const PageList& pages) {
+    NodeId w = self;
+    while (w == self) {
+      w = random_node();
+    }
+    const uint32_t id = ++next_id[static_cast<size_t>(w)];
+    PageId run_first = -1;
+    PageId run_last = -2;
+    for (PageId p : pages) {
+      ref.UpdateRequired(p, w, id);
+      const bool home_here = home_of(p) == self;
+      if (!home_here && unmapped[p]) {
+        if (p != run_last + 1) {
+          if (run_first >= 0) {
+            table.DeferNotices(w, id, run_first, run_last);
+          }
+          run_first = p;
+        }
+        run_last = p;
+        continue;
+      }
+      table.UpdateRequired(p, w, id);
+      const RefHlrc::Required* req = ref.RequiredOf(p);
+      const bool ref_keeps = home_here && ref.AppliedSatisfies(p, *req);
+      EXPECT_EQ(home_here && table.RequiredApplied(p), ref_keeps) << "page " << p;
+      unmapped[p] = !ref_keeps;
+    }
+    if (run_first >= 0) {
+      table.DeferNotices(w, id, run_first, run_last);
+    }
+  };
 
   const int steps = static_cast<int>(rng.NextInt(20, 80));
   for (int step = 0; step < steps; ++step) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
     const PageId p = RandomPage(&rng);
     const uint32_t id = static_cast<uint32_t>(rng.NextInt(1, 8));
-    switch (rng.NextBounded(7)) {
-      case 0: {  // A write notice, or this node's own flush of a remote-homed page.
-        const NodeId w = rng.NextBool(0.3) ? self : random_node();
-        ref.UpdateRequired(p, w, id);
-        table.UpdateRequired(p, w, id);
+    switch (rng.NextBounded(10)) {
+      case 0: {  // This node's own flush of a page (OnIntervalClosed).
+        ref.UpdateRequired(p, self, id);
+        table.UpdateRequired(p, self, id);
         break;
       }
       case 1:  // An interval close on a page homed here (home effect).
@@ -739,8 +1025,7 @@ void RunHlrcEpisode(uint64_t seed) {
         table.Park(p, PendingReq{requester, req});
         break;
       }
-      case 3:
-      case 4: {  // A diff flush applied at the home, then serve and maybe migrate.
+      case 3: {  // A diff flush applied at the home, then serve and maybe migrate.
         const NodeId w = random_node();
         ref.SetApplied(p, w, id);
         table.SetApplied(p, w, id);
@@ -759,19 +1044,22 @@ void RunHlrcEpisode(uint64_t seed) {
         }
         break;
       }
-      case 5: {  // This node becomes the home by transfer.
+      case 4: {  // This node becomes the home by transfer (HandleHomeTransfer).
         std::vector<uint32_t> applied(static_cast<size_t>(nodes));
         for (uint32_t& a : applied) {
           a = static_cast<uint32_t>(rng.NextInt(0, 8));
         }
+        table.Resolve(p);
         ref.HomeTransfer(p, applied, self, id);
         table.AdoptApplied(p, applied);
         table.SetApplied(p, self, id);
         table.SetHomeOverride(p, self);
+        unmapped[p] = false;
         ExpectSameRequests(table.TakeParked(p, /*all=*/false), ref.ServePendingRequests(p));
+        ExpectSameHlrcPage(ref, table, p);
         break;
       }
-      default: {  // A page reply naming its serving home.
+      case 5: {  // A page reply naming its serving home.
         const NodeId home = random_node();
         ref.PageReply(p, home, static_home(p), self);
         if (home != self &&
@@ -780,12 +1068,53 @@ void RunHlrcEpisode(uint64_t seed) {
         }
         break;
       }
+      case 6:
+      case 7:
+        apply_interval(RandomPages(&rng, 3));
+        break;
+      default: {
+        // A fault on a page homed elsewhere (HlrcProtocol::ResolveFault):
+        // resolve, fetch, and fetch again if a notice for the page arrived
+        // meanwhile, exactly when the reference's epoch moved.
+        if (home_of(p) == self) {
+          break;
+        }
+        unmapped[p] = true;
+        while (true) {
+          table.Resolve(p);
+          ExpectSameHlrcPage(ref, table, p);
+          const uint64_t epoch = table.RequiredEpoch(p);
+          const uint64_t ref_epoch = ref.RequiredEpoch(p);
+          while (rng.NextBool(0.4)) {
+            PageList pages = RandomPages(&rng, 2);
+            if (rng.NextBool(0.5)) {
+              std::set<PageId> with(pages.begin(), pages.end());
+              with.insert(p);
+              pages.assign(with.begin(), with.end());
+            }
+            apply_interval(pages);
+          }
+          table.Resolve(p);
+          ExpectSameHlrcPage(ref, table, p);
+          const bool refetch = table.RequiredEpoch(p) != epoch;
+          ASSERT_EQ(refetch, ref.RequiredEpoch(p) != ref_epoch) << "page " << p;
+          if (!refetch || home_of(p) == self) {
+            break;
+          }
+        }
+        unmapped[p] = false;
+        break;
+      }
     }
-    ExpectSameHlrc(ref, table, nodes);
+    EXPECT_EQ(table.MemoryBytes(), ref.SubclassMemoryBytes());
     if (::testing::Test::HasFailure()) {
       return;
     }
   }
+  for (PageId page = 0; page < static_cast<PageId>(table.size()); ++page) {
+    table.Resolve(page);
+  }
+  ExpectSameHlrc(ref, table, nodes);
 }
 
 TEST(PageMetaDifferential, LrcMatchesPageKeyedMapsAcross1000Episodes) {
@@ -819,22 +1148,26 @@ TEST(PageMeta, PendingNoticeOutlivesIntervalLogClear) {
   IntervalPtr rec = MakeRecord(2, 1, vt, PageList{3, 7});
   std::weak_ptr<const IntervalRecord> watch = rec;
   log.Append(rec);
-  table.AddNotice(3, rec);
-  table.AddNotice(7, rec);
-  EXPECT_EQ(rec.use_count(), 4);  // `rec`, the log, two notices: no copies.
+  table.AddNotices(rec, table.NextNotice(), 2);
+  table.Resolve(3);
+  table.Resolve(7);
+  // `rec`, the log, the writer's notice index, two listed notices: no copies.
+  EXPECT_EQ(rec.use_count(), 5);
   rec.reset();
 
   log.Clear();
   ASSERT_FALSE(watch.expired());
-  EXPECT_EQ(watch.use_count(), 2);
+  EXPECT_EQ(watch.use_count(), 3);
   const IntervalPtr& held = table.PendingNotice(3, 2, 1);
   EXPECT_EQ(held.get(), table.PendingNotice(7, 2, 1).get());
   EXPECT_TRUE(held->vt == vt);
 
   table.SetCovered(3, 2, 1);
   table.PrunePendingCovered(3);
-  EXPECT_EQ(watch.use_count(), 1);
+  EXPECT_EQ(watch.use_count(), 2);
   table.DropCopy(7);
+  EXPECT_EQ(watch.use_count(), 1);  // The index keeps it until the GC release.
+  table.ReleaseGc([](PageId) { return true; });
   EXPECT_TRUE(watch.expired());
   EXPECT_EQ(table.pending_count(), 0);
 }
@@ -858,7 +1191,7 @@ TEST(PageMeta, GrowsOnlyToTheHighestPageTouched) {
   LrcPageTable lrc(4);
   EXPECT_FALSE(lrc.HasPending(70000));
   EXPECT_EQ(lrc.FindDiff(70000, 1), nullptr);
-  EXPECT_EQ(lrc.OwnerHint(70000), kInvalidNode);
+  EXPECT_FALSE(lrc.AnyPending(70000));
   EXPECT_EQ(lrc.size(), 0u);
 }
 
@@ -893,12 +1226,12 @@ TEST(PageMeta, ColdReadsOfUntouchedPagesAllocateNothing) {
   LrcPageTable lrc(kNodes);
   VectorClock vt(kNodes);
   vt.Set(2, 1);
-  lrc.AddNotice(5, MakeRecord(2, 1, vt, PageList{5}));
+  lrc.AddNotices(MakeRecord(2, 1, vt, PageList{5}), lrc.NextNotice(), 1);
+  lrc.Resolve(5);
   lrc.PrunePendingCovered(5);  // Nothing covered yet: the notice stays.
   for (PageId page : {PageId{0}, PageId{5}, PageId{70000}}) {
     EXPECT_EQ(lrc.Covered(page, 2), 0u);
     EXPECT_EQ(lrc.FindDiff(page, 1), nullptr);
-    EXPECT_EQ(lrc.OwnerHint(page), kInvalidNode);
     EXPECT_TRUE(lrc.cold(page).diffs.empty());
   }
   EXPECT_TRUE(lrc.Inventory().empty());
