@@ -103,9 +103,12 @@ void HlrcProtocol::OnIntervalClosed(const std::shared_ptr<IntervalRecord>& rec,
 // Write notices.
 
 ProtocolNode::NoticeWalk HlrcProtocol::OnIntervalNotices(const IntervalPtr& rec) {
-  // Only pages mapped or homed here are visited one by one. Every other
-  // notice goes to the writer's run summary, a run of consecutive pages at
-  // a time, until a fault resolves the page's required stamps.
+  // Pages mapped or homed here are visited one by one. Every other notice
+  // in a run of at least kMinDeferredRun consecutive such pages goes to the
+  // writer's run summary, a run at a time, until a fault resolves the
+  // page's required stamps. Shorter runs are stamped page by page like the
+  // mapped ones: a summary of one- to three-page runs (Water-Nsquared's
+  // intervals) costs more to update and search than the stamps it saves.
   const bool migrate = env().options->migrate_homes;
   NoticeWalk walk;
   PageId home_last = -1;
@@ -113,8 +116,17 @@ ProtocolNode::NoticeWalk HlrcProtocol::OnIntervalNotices(const IntervalPtr& rec)
   PageId deferred_first = -1;
   PageId deferred_last = -2;
   auto flush_deferred = [&] {
-    if (deferred_first >= 0) {
+    if (deferred_first < 0) {
+      return;
+    }
+    if (deferred_last - deferred_first + 1 >= HlrcPageTable::kMinDeferredRun) {
       meta_.DeferNotices(rec->writer, rec->id, deferred_first, deferred_last);
+      return;
+    }
+    for (PageId page = deferred_first; page <= deferred_last; ++page) {
+      ++walk.eager;
+      meta_.UpdateRequired(page, rec->writer, rec->id);
+      CoverNotice(PageProt::kNone, PageProt::kNone);
     }
   };
   for (PageId page : rec->pages) {

@@ -119,10 +119,7 @@ void LrcProtocol::Resolve(PageId page) {
 }
 
 NodeId LrcProtocol::OwnerHint(PageId page) const {
-  if (gc_owners_ == nullptr || static_cast<size_t>(page) >= gc_owners_->owners.size()) {
-    return kInvalidNode;
-  }
-  return gc_owners_->owners[static_cast<size_t>(page)];
+  return gc_owners_ == nullptr ? kInvalidNode : gc_owners_->OwnerOf(page);
 }
 
 // ---------------------------------------------------------------------------
@@ -486,20 +483,13 @@ Task<void> LrcProtocol::BarrierPreRelease(BarrierId barrier, bool mem_pressure) 
 
   // Assign validators: the last writer (maximal interval vt) of each page.
   // Fold them into the owners of the previous GC, once for every node.
-  auto round = std::make_shared<GcRound>();
-  if (gc_owners_ != nullptr) {
-    round->owners = gc_owners_->owners;
-    round->owned_pages = gc_owners_->owned_pages;
-  }
-  round->owners.resize(std::max(round->owners.size(), gc_coord_->best.size()), kInvalidNode);
+  std::vector<std::pair<PageId, NodeId>> assigned;
   for (size_t page = 0; page < gc_coord_->best.size(); ++page) {
     if (const IntervalPtr& rec = gc_coord_->best[page]; rec != nullptr) {
-      round->validators.emplace_back(static_cast<PageId>(page), rec->writer);
-      round->owned_pages += round->owners[page] == kInvalidNode ? 1 : 0;
-      round->owners[page] = rec->writer;
+      assigned.emplace_back(static_cast<PageId>(page), rec->writer);
     }
   }
-  const GcValidators validators = std::move(round);
+  const GcValidators validators = FoldGcRound(gc_owners_.get(), std::move(assigned));
 
   {
     SpanCause sc(this, BarrierGatherSpan(barrier));
@@ -519,6 +509,27 @@ Task<void> LrcProtocol::BarrierPreRelease(BarrierId barrier, bool mem_pressure) 
   }
   co_await *gc_coord_->dones_done;
   gc_coord_.reset();
+}
+
+GcValidators FoldGcRound(const GcRound* previous,
+                         std::vector<std::pair<PageId, NodeId>> validators) {
+  auto round = std::make_shared<GcRound>();
+  if (previous != nullptr) {
+    round->owners = previous->owners;
+    round->owned_pages = previous->owned_pages;
+  }
+  if (!validators.empty()) {
+    round->owners.resize(
+        std::max(round->owners.size(), static_cast<size_t>(validators.back().first) + 1),
+        kInvalidNode);
+  }
+  for (const auto& [page, validator] : validators) {
+    NodeId& owner = round->owners[static_cast<size_t>(page)];
+    round->owned_pages += owner == kInvalidNode ? 1 : 0;
+    owner = validator;
+  }
+  round->validators = std::move(validators);
+  return round;
 }
 
 void LrcProtocol::HandleGcRequest() {
@@ -621,16 +632,10 @@ void LrcProtocol::OnBarrierReleased() {
   // disappear, so drop it; the next access fetches the whole page from the
   // validator. Pages held here are checked one by one; the table releases
   // the rest, whose notices are all unlisted, in bulk.
-  meta_.ReleaseGc([&](PageId page) {
-    auto it = std::lower_bound(validators.begin(), validators.end(),
-                               std::make_pair(page, kInvalidNode));
-    if (it == validators.end() || it->first != page || it->second == self()) {
-      return false;
-    }
+  meta_.ReleaseGc(validators, self(), [&](PageId page) {
     PageState& st = pages().State(page);
     st.set_has_copy(false);
     st.set_prot(PageProt::kNone);
-    return true;
   });
   gc_owners_ = round;
   meta_.SetOwnerHints(round->owned_pages);

@@ -26,15 +26,26 @@ namespace hlrc {
 // One GC's outcome, built once by the manager and shared, immutable, by
 // every node's payload and GC state.
 struct GcRound {
+  // The validator at the page's latest GC so far (where to fetch the page
+  // after it), or kInvalidNode.
+  NodeId OwnerOf(PageId page) const {
+    return static_cast<size_t>(page) < owners.size() ? owners[static_cast<size_t>(page)]
+                                                     : kInvalidNode;
+  }
+
   // The validator of each page with diffs, ascending by page.
   std::vector<std::pair<PageId, NodeId>> validators;
-  // Indexed by page: the validator at the page's latest GC so far (where to
-  // fetch the page after it), or kInvalidNode. This GC's validators folded
-  // into the previous round's owners.
+  // Indexed by page: OwnerOf. This GC's validators folded into the previous
+  // round's owners.
   std::vector<NodeId> owners;
   int64_t owned_pages = 0;  // Entries of `owners` naming a node.
 };
 using GcValidators = std::shared_ptr<const GcRound>;
+
+// One GC's round: `validators` (ascending by page) folded into the owners
+// of `previous` (null before the first GC). Built once, by the manager.
+GcValidators FoldGcRound(const GcRound* previous,
+                         std::vector<std::pair<PageId, NodeId>> validators);
 
 class LrcProtocol : public ProtocolNode {
  public:

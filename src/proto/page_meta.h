@@ -191,8 +191,7 @@ class LrcPageTable : public PageMetaArray<LrcPageMeta> {
     if (m.resolved == notice_seq_) {
       return false;  // Nothing learned, and no GC drop, since the last call.
     }
-    const uint32_t* gc = gc_dropped_.Find(page);
-    const bool dropped = gc != nullptr && *gc > m.resolved;
+    const bool dropped = DroppedSince(page, m.resolved);
     // A dropped page held nothing: its notices were all unlisted ones.
     HLRC_DCHECK(!dropped || (m.pending.empty() && cold(page).covered.empty()));
     if (!UnlistedSince(page, m.resolved)) {
@@ -200,30 +199,21 @@ class LrcPageTable : public PageMetaArray<LrcPageMeta> {
       return dropped;
     }
     const size_t listed = m.pending.size();
-    for (const WriterNotices& wn : writers_) {
-      if (wn.recs.empty() || wn.recs.back().first <= m.resolved) {
-        continue;
-      }
-      const std::vector<uint32_t>* list = wn.pages.Find(page);
-      if (list == nullptr) {
-        continue;
-      }
-      auto it = std::partition_point(list->begin(), list->end(), [&](uint32_t i) {
-        return wn.recs[i].first <= m.resolved;
-      });
-      for (; it != list->end(); ++it) {
-        m.pending.push_back(wn.recs[*it].second);
-      }
-    }
+    ListUnlisted(page, m.resolved, &m.pending, listed);
     m.resolved = notice_seq_;
     unlisted_count_ -= static_cast<int64_t>(m.pending.size() - listed);
-    if (listed > 0) {
-      std::inplace_merge(m.pending.begin(), m.pending.begin() + static_cast<ptrdiff_t>(listed),
-                         m.pending.end(), NoticeLess);
-    }
     Hold(page);
     return dropped;
   }
+  // For consistency checks: the pending list Resolve(page) would leave, and
+  // whether it would report a GC drop, without resolving the page.
+  std::vector<IntervalPtr> PeekPending(PageId page) const {
+    const LrcPageMeta& m = get(page);
+    std::vector<IntervalPtr> pending = m.pending;
+    ListUnlisted(page, m.resolved, &pending, pending.size());
+    return pending;
+  }
+  bool PeekDropped(PageId page) const { return DroppedSince(page, get(page).resolved); }
   // Whether the page has pending notices, listed or not, without resolving
   // it.
   bool AnyPending(PageId page) const {
@@ -310,19 +300,38 @@ class LrcPageTable : public PageMetaArray<LrcPageMeta> {
       --covered_pages_;
     }
   }
-  // GC release. Each held page with pending notices, listed or not, asks
-  // `drop(page)`: a stale copy the caller unmaps is forgotten here, notices
-  // and covered stamps, without resolving it; a kept one is resolved. Every
-  // other unlisted notice names a page held nowhere here:
-  // the table drops them all and records their pages by run, so that
-  // Resolve drops those copies the next time each page is asked for.
-  // Only pages that still have notices or covered stamps stay held.
-  template <typename Drop>
-  void ReleaseGc(Drop drop) {
+  // GC release, given the round's validators (ascending by page). A copy
+  // with pending notices here, listed or not, is stale if its page's
+  // validator is another node. Each held page that is stale calls
+  // `unmap(page)` and is forgotten here, notices and covered stamps,
+  // without resolving it; a kept one is resolved. Every other unlisted
+  // notice names a page that is not held here, and such a page is always
+  // stale: it has a validator, since every page written since the last GC
+  // has one, and the validator is not this node, whose own writes leave
+  // covered stamps and so hold the page. The table drops those notices all
+  // at once and records their pages by run, so that Resolve drops those
+  // copies the next time each page is asked for. Only pages that still have
+  // notices or covered stamps stay held.
+  template <typename Unmap>
+  void ReleaseGc(const std::vector<std::pair<PageId, NodeId>>& validators, NodeId self,
+                 Unmap unmap) {
+    auto stale = [&](PageId page) {
+      auto it = std::lower_bound(validators.begin(), validators.end(),
+                                 std::make_pair(page, kInvalidNode));
+      return it != validators.end() && it->first == page && it->second != self;
+    };
+#ifndef NDEBUG
+    for (const auto& run : latest_.runs()) {
+      for (PageId page = run.first; page <= run.last; ++page) {
+        HLRC_DCHECK(get(page).held || stale(page));
+      }
+    }
+#endif
     for (size_t i = 0; i < held_.size(); ++i) {  // Resolve adds no pages.
       const PageId page = held_[i];
       if (AnyPending(page)) {
-        if (drop(page)) {
+        if (stale(page)) {
+          unmap(page);
           DropCopy(page);
         } else {
           Resolve(page);
@@ -376,6 +385,35 @@ class LrcPageTable : public PageMetaArray<LrcPageMeta> {
   bool UnlistedSince(PageId page, uint32_t seq) const {
     const uint32_t* latest = latest_.Find(page);
     return latest != nullptr && *latest > seq;
+  }
+  // Whether a GC dropped the page's copy after notice `seq`.
+  bool DroppedSince(PageId page, uint32_t seq) const {
+    const uint32_t* gc = gc_dropped_.Find(page);
+    return gc != nullptr && *gc > seq;
+  }
+  // Appends the unlisted notices of the page numbered after `seq` to
+  // `pending`, whose first `listed` entries are sorted, and merges: the
+  // result ascends by (writer, id).
+  void ListUnlisted(PageId page, uint32_t seq, std::vector<IntervalPtr>* pending,
+                    size_t listed) const {
+    for (const WriterNotices& wn : writers_) {
+      if (wn.recs.empty() || wn.recs.back().first <= seq) {
+        continue;
+      }
+      const std::vector<uint32_t>* list = wn.pages.Find(page);
+      if (list == nullptr) {
+        continue;
+      }
+      auto it = std::partition_point(list->begin(), list->end(),
+                                     [&](uint32_t i) { return wn.recs[i].first <= seq; });
+      for (; it != list->end(); ++it) {
+        pending->push_back(wn.recs[*it].second);
+      }
+    }
+    if (listed > 0) {
+      std::inplace_merge(pending->begin(), pending->begin() + static_cast<ptrdiff_t>(listed),
+                         pending->end(), NoticeLess);
+    }
   }
   void Hold(PageId page) {
     LrcPageMeta& m = at(page);
@@ -449,8 +487,9 @@ struct HlrcColdMeta {
 struct HlrcPageMeta {
   using Cold = HlrcColdMeta;
   // Faulting side; never shrinks. Complete for the pages that take write
-  // notices eagerly (mapped or homed here); for any other page, the notices
-  // since its last Resolve are in the table's per-writer summaries.
+  // notices eagerly (mapped or homed here, or in a run of fewer than
+  // kMinDeferredRun other pages); for any other page, the notices since its
+  // last Resolve are in the table's per-writer summaries.
   Required required;
   uint32_t required_epoch = 0;  // Bumped whenever `required` grows.
   uint32_t resolved = 0;        // The table's deferral count at the last Resolve.
@@ -460,6 +499,10 @@ struct HlrcPageMeta {
 
 class HlrcPageTable : public PageMetaArray<HlrcPageMeta> {
  public:
+  // The shortest run of consecutive pages, none mapped or homed here, whose
+  // notices the protocol defers (DeferNotices) instead of stamping them.
+  static constexpr PageId kMinDeferredRun = 4;
+
   explicit HlrcPageTable(int nodes) : nodes_(nodes) {}
 
   // Raises `writer`'s required stamp of `page` to at least `id`: an own
@@ -471,8 +514,9 @@ class HlrcPageTable : public PageMetaArray<HlrcPageMeta> {
     }
   }
   // Write notices of `writer`'s interval `id` for pages [first, last], none
-  // of them mapped or homed here: recorded in the writer's run summary of
-  // the highest interval that wrote each page, not in the pages' stamps.
+  // of them mapped or homed here, at least kMinDeferredRun of them:
+  // recorded in the writer's run summary of the highest interval that wrote
+  // each page, not in the pages' stamps.
   void DeferNotices(NodeId writer, uint32_t id, PageId first, PageId last) {
     if (notices_.empty()) {
       notices_.resize(static_cast<size_t>(nodes_));
@@ -493,18 +537,18 @@ class HlrcPageTable : public PageMetaArray<HlrcPageMeta> {
   // each had been taken eagerly: O(writers x log runs), searching only the
   // summaries of writers that deferred notices since the page's last call.
   void Resolve(PageId page) {
-    const uint32_t since = at(page).resolved;
-    if (since == deferrals_) {
+    if (at(page).resolved == deferrals_) {
       return;
     }
-    for (size_t w = 0; w < notices_.size(); ++w) {
-      if (deferred_at_[w] > since) {
-        if (const uint32_t* id = notices_[w].Find(page)) {
-          RaiseRequired(page, static_cast<NodeId>(w), *id);
-        }
-      }
-    }
+    ForEachDeferred(page, [&](NodeId writer, uint32_t id) { RaiseRequired(page, writer, id); });
     at(page).resolved = deferrals_;
+  }
+  // For consistency checks: the required stamps Resolve(page) would leave,
+  // without resolving the page.
+  Required PeekRequired(PageId page) const {
+    Required required = get(page).required;
+    ForEachDeferred(page, [&](NodeId writer, uint32_t id) { Raise(&required, writer, id); });
+    return required;
   }
   // Whether the home has applied every flush this node requires of `page`.
   bool RequiredApplied(PageId page) const { return AppliedSatisfies(page, get(page).required); }
@@ -601,21 +645,41 @@ class HlrcPageTable : public PageMetaArray<HlrcPageMeta> {
   bool Summarized(PageId page, NodeId writer) const {
     return !notices_.empty() && notices_[static_cast<size_t>(writer)].Find(page) != nullptr;
   }
+  // Raises `writer`'s stamp in `required` to at least `id`; true if it grew
+  // (a new stamp grows it).
+  static bool Raise(Required* required, NodeId writer, uint32_t id) {
+    for (FlushStamp& s : *required) {
+      if (s.writer == writer) {
+        const bool grew = id > s.id;
+        s.id = std::max(s.id, id);
+        return grew;
+      }
+    }
+    required->push_back(FlushStamp{writer, id});
+    return true;
+  }
   // Raises the stamp (bumping the epoch if it grows); true if it is new.
   bool RaiseRequired(PageId page, NodeId writer, uint32_t id) {
     HlrcPageMeta& m = at(page);
-    for (FlushStamp& s : m.required) {
-      if (s.writer == writer) {
-        if (id > s.id) {
-          s.id = id;
-          ++m.required_epoch;
+    const size_t before = m.required.size();
+    m.required_epoch += Raise(&m.required, writer, id) ? 1 : 0;
+    return m.required.size() > before;
+  }
+  // Calls `fn(writer, id)` for each summarized notice of `page` that a
+  // writer deferred since the page's last Resolve: O(writers x log runs).
+  template <typename Fn>
+  void ForEachDeferred(PageId page, Fn fn) const {
+    const uint32_t since = get(page).resolved;
+    if (since == deferrals_) {
+      return;
+    }
+    for (size_t w = 0; w < notices_.size(); ++w) {
+      if (deferred_at_[w] > since) {
+        if (const uint32_t* id = notices_[w].Find(page)) {
+          fn(static_cast<NodeId>(w), *id);
         }
-        return false;
       }
     }
-    m.required.push_back(FlushStamp{writer, id});
-    ++m.required_epoch;
-    return true;
   }
 
   int nodes_;

@@ -106,39 +106,20 @@ void ProtocolNode::Send(NodeId dst, MsgType type, int64_t update_bytes, int64_t 
 }
 
 NodeId ProtocolNode::HomeOf(PageId page) const {
-  const int num_pages =
-      used_pages_ > 0 ? std::max(used_pages_, page + 1) : env_.pages->num_pages();
-  switch (env_.options->home_policy) {
-    case HomePolicy::kBlock: {
-      // Contiguous chunks *per allocation*: the k-th band of every array is
-      // homed on node k — the paper's "homes chosen intelligently", matching
-      // the applications' block partitioning.
-      if (env_.space != nullptr) {
-        const SharedSpace::Allocation* alloc = env_.space->AllocationOf(page);
-        if (alloc != nullptr) {
-          const int64_t span = alloc->last_page - alloc->first_page + 1;
-          return static_cast<NodeId>(static_cast<int64_t>(page - alloc->first_page) *
-                                     env_.nodes / span);
-        }
-      }
-      return static_cast<NodeId>(static_cast<int64_t>(page) * env_.nodes / num_pages);
-    }
-    case HomePolicy::kRoundRobin:
-      return static_cast<NodeId>(page % env_.nodes);
-    case HomePolicy::kSingleNode:
-      return 0;
-  }
-  return 0;
+  PageId last;
+  return HomeRun(page, &last);
 }
 
 NodeId ProtocolNode::HomeRun(PageId page, PageId* last) const {
   *last = page;
   switch (env_.options->home_policy) {
-    case HomePolicy::kBlock:
+    case HomePolicy::kBlock: {
+      // Contiguous chunks *per allocation*: the k-th band of every array is
+      // homed on node k — the paper's "homes chosen intelligently", matching
+      // the applications' block partitioning. Node h homes the allocation's
+      // pages first + [ceil(h * span / N), ceil((h + 1) * span / N)).
       if (env_.space != nullptr) {
         if (const SharedSpace::Allocation* alloc = env_.space->AllocationOf(page)) {
-          // Node h homes the allocation's pages first + [ceil(h * span / N),
-          // ceil((h + 1) * span / N)).
           const int64_t span = alloc->last_page - alloc->first_page + 1;
           const NodeId home = static_cast<NodeId>(
               static_cast<int64_t>(page - alloc->first_page) * env_.nodes / span);
@@ -148,14 +129,17 @@ NodeId ProtocolNode::HomeRun(PageId page, PageId* last) const {
           return home;
         }
       }
-      return HomeOf(page);
+      const int num_pages =
+          used_pages_ > 0 ? std::max(used_pages_, page + 1) : env_.pages->num_pages();
+      return static_cast<NodeId>(static_cast<int64_t>(page) * env_.nodes / num_pages);
+    }
     case HomePolicy::kRoundRobin:
-      return HomeOf(page);
+      return static_cast<NodeId>(page % env_.nodes);
     case HomePolicy::kSingleNode:
       *last = env_.pages->num_pages() - 1;
       return 0;
   }
-  return HomeOf(page);
+  return 0;
 }
 
 void ProtocolNode::NoteMemory() {

@@ -278,7 +278,7 @@ class ProtocolNode {
   NodeId HomeOf(PageId page) const;
   // HomeOf(page), with `*last` set to the last page of the run from `page`
   // on that has the same home: a walk over sorted pages resolves the home
-  // once per run instead of once per page.
+  // once per run instead of once per page. The one definition of placement.
   NodeId HomeRun(PageId page, PageId* last) const;
 
   bool overlapped() const { return IsOverlapped(env_.options->kind); }

@@ -9,10 +9,16 @@
 // arriving mid-fetch, own interval closes, GC inventory/validate/release,
 // barriers without GC (interval-log truncation while notices survive),
 // the lrc-skip-invalidate canary, and home migration with parked requests.
-// After every step the two must agree on each page the step resolved -- its
-// pending list (contents and per-writer order), required stamps, required-
-// epoch change detection, copy state and owner hint -- and on the modelled
-// memory; at the end of an episode, on every page.
+// After every step the two must agree on every page, each one read as the
+// table would resolve it but without resolving it (PeekPending /
+// PeekRequired): copy state, pending list (contents and per-writer order),
+// covered stamps, stored diffs and owner hint (LRC); required stamps,
+// applied stamps, parked requests, home overrides and streaks (HLRC); and
+// on the modelled memory, recounted from those pages. Each page a step
+// resolves is compared as stored too, and each fetch checks required-epoch
+// change detection. Owner hints come from the protocol's own GC round fold
+// (FoldGcRound). At the end of an episode every page is resolved and
+// compared once more.
 #include "src/proto/page_meta.h"
 
 #include <gtest/gtest.h>
@@ -28,6 +34,7 @@
 
 #include "src/common/rng.h"
 #include "src/proto/interval_log.h"
+#include "src/proto/lrc.h"
 #include "src/proto/vector_clock.h"
 
 namespace hlrc {
@@ -443,13 +450,14 @@ PageId RandomPage(Rng* rng) {
                              : static_cast<PageId>(rng->NextInt(0, 40));
 }
 
-// An interval's sorted write-notice list: a few runs of consecutive pages,
-// so the per-writer run summaries split, extend and merge.
+// An interval's sorted write-notice list: a few runs of one to eight
+// consecutive pages, so the per-writer run summaries split, extend and
+// merge, and HLRC both stamps short runs and defers long ones.
 PageList RandomPages(Rng* rng, int max_runs) {
   std::set<PageId> page_set;
   for (int i = static_cast<int>(rng->NextInt(1, max_runs)); i > 0; --i) {
     const PageId first = RandomPage(rng);
-    for (PageId p = first; p < first + static_cast<PageId>(rng->NextInt(1, 5)); ++p) {
+    for (PageId p = first; p < first + static_cast<PageId>(rng->NextInt(1, 8)); ++p) {
       page_set.insert(p);
     }
   }
@@ -513,16 +521,22 @@ class LrcModel {
     }
   }
 
-  NodeId OwnerHint(PageId p) const {
-    return static_cast<size_t>(p) < owners_.size() ? owners_[static_cast<size_t>(p)]
-                                                   : kInvalidNode;
-  }
+  // LrcProtocol::OwnerHint.
+  NodeId OwnerHint(PageId p) const { return round_ == nullptr ? kInvalidNode : round_->OwnerOf(p); }
 
-  // A resolved page must match the reference in full.
-  void ExpectSamePage(PageId p) {
-    Resolve(p);
-    EXPECT_TRUE(table_pages[p] == ref_pages[p]) << "page " << p;
-    const std::vector<IntervalPtr>& pending = table.Pending(p);
+  // One page as the table would have it resolved (PeekPending /
+  // PeekDropped, which leave unlisted notices unlisted) against the
+  // reference: copy state, pending list (contents and per-writer order),
+  // covered stamps, stored diffs and owner hint. Returns the page's
+  // pending-notice count, covered pages and diff bytes.
+  std::tuple<int64_t, int64_t, int64_t> ExpectSamePeeked(PageId p) {
+    const auto vit = table_pages.find(p);
+    const PageView view = table.PeekDropped(p)       ? PageView{false, false}
+                          : vit == table_pages.end() ? PageView{}
+                                                     : vit->second;
+    const auto rit = ref_pages.find(p);
+    EXPECT_TRUE(view == (rit == ref_pages.end() ? PageView{} : rit->second)) << "page " << p;
+    const std::vector<IntervalPtr> pending = table.PeekPending(p);
     auto pit = ref.pending_.find(p);
     std::vector<RefLrc::PendingWn> want;
     if (pit != ref.pending_.end()) {
@@ -532,38 +546,65 @@ class LrcModel {
     // must agree per writer, which is all FetchDiffs reads.
     std::stable_sort(want.begin(), want.end(),
                      [](const auto& a, const auto& b) { return a.writer < b.writer; });
-    ASSERT_EQ(pending.size(), want.size()) << "page " << p;
-    for (size_t i = 0; i < pending.size(); ++i) {
+    EXPECT_EQ(pending.size(), want.size()) << "page " << p;
+    for (size_t i = 0; i < std::min(pending.size(), want.size()); ++i) {
       EXPECT_EQ(pending[i]->writer, want[i].writer) << "page " << p;
       EXPECT_EQ(pending[i]->id, want[i].id) << "page " << p;
-      EXPECT_TRUE(pending[i]->vt == want[i].vt);
+      EXPECT_TRUE(pending[i]->vt == want[i].vt) << "page " << p;
     }
+    const LrcColdMeta& c = table.cold(p);
     auto cit = ref.covered_.find(p);
-    EXPECT_EQ(!table.cold(p).covered.empty(), cit != ref.covered_.end()) << "page " << p;
+    EXPECT_EQ(!c.covered.empty(), cit != ref.covered_.end()) << "page " << p;
     if (cit != ref.covered_.end()) {
-      EXPECT_EQ(table.cold(p).covered, cit->second);
+      EXPECT_EQ(c.covered, cit->second) << "page " << p;
+    }
+    auto lit = ref.latest_diff_id_.find(p);
+    EXPECT_EQ(!c.diffs.empty(), lit != ref.latest_diff_id_.end()) << "page " << p;
+    if (!c.diffs.empty() && lit != ref.latest_diff_id_.end()) {
+      EXPECT_EQ(c.diffs.back().rec->id, lit->second) << "page " << p;
+    }
+    int64_t diff_bytes = 0;
+    for (const StoredDiff& sd : c.diffs) {
+      auto dit = ref.diff_store_.find({p, sd.rec->id});
+      if (dit == ref.diff_store_.end()) {
+        ADD_FAILURE() << "page " << p << " diff " << sd.rec->id << " not in the reference";
+        continue;
+      }
+      EXPECT_EQ(sd.bytes, dit->second.bytes);
+      EXPECT_TRUE(sd.rec->vt == dit->second.vt);
+      diff_bytes += sd.bytes;
     }
     auto hit = ref.owner_hint_.find(p);
-    EXPECT_EQ(OwnerHint(p), hit == ref.owner_hint_.end() ? kInvalidNode : hit->second);
+    EXPECT_EQ(OwnerHint(p), hit == ref.owner_hint_.end() ? kInvalidNode : hit->second)
+        << "page " << p;
+    return {static_cast<int64_t>(pending.size()), c.covered.empty() ? 0 : 1, diff_bytes};
   }
 
-  // The modelled memory and notice count, which must hold without resolving.
-  void ExpectSameTotals() {
-    EXPECT_EQ(table.pending_count(), ref.pending_count_);
-    EXPECT_EQ(table.diff_count(), static_cast<int64_t>(ref.diff_store_.size()));
-    EXPECT_EQ(table.MemoryBytes(), ref.SubclassMemoryBytes());
+  // A page the step resolved must match the reference as it is stored.
+  void ExpectSamePage(PageId p) {
+    Resolve(p);
+    EXPECT_FALSE(table.PeekDropped(p)) << "page " << p;
+    const auto [pending, covered, diff_bytes] = ExpectSamePeeked(p);
+    EXPECT_EQ(static_cast<int64_t>(table.Pending(p).size()), pending) << "page " << p;
   }
 
-  // Every page, each stored diff, and a recount of the memory model.
-  void ExpectSameEverywhere(int nodes) {
+  // Every page any side knows, without resolving one, and a recount of the
+  // memory model from them: after every step.
+  void ExpectSameLrc(int nodes) {
     std::set<PageId> all;
+    for (PageId p = 0; p < static_cast<PageId>(table.size()); ++p) {
+      all.insert(p);
+    }
     for (const auto& [p, v] : ref_pages) {
       all.insert(p);
     }
     for (const auto& [p, v] : table_pages) {
       all.insert(p);
     }
-    for (PageId p = 0; p < static_cast<PageId>(table.size()); ++p) {
+    for (const auto& [p, v] : ref.pending_) {
+      all.insert(p);
+    }
+    for (const auto& [p, v] : ref.owner_hint_) {
       all.insert(p);
     }
     int64_t pending = 0;
@@ -571,15 +612,12 @@ class LrcModel {
     int64_t diff_bytes = 0;
     std::vector<std::pair<PageId, uint32_t>> diff_keys;
     for (PageId p : all) {
-      ExpectSamePage(p);
-      pending += static_cast<int64_t>(table.Pending(p).size());
-      covered_pages += table.cold(p).covered.empty() ? 0 : 1;
+      const auto [n, covered, bytes] = ExpectSamePeeked(p);
+      pending += n;
+      covered_pages += covered;
+      diff_bytes += bytes;
       for (const StoredDiff& sd : table.cold(p).diffs) {
         diff_keys.emplace_back(p, sd.rec->id);
-        const RefLrc::StoredDiff& rsd = ref.diff_store_.at({p, sd.rec->id});
-        EXPECT_EQ(sd.bytes, rsd.bytes);
-        EXPECT_TRUE(sd.rec->vt == rsd.vt);
-        diff_bytes += sd.bytes;
       }
     }
     std::vector<std::pair<PageId, uint32_t>> ref_keys;
@@ -587,12 +625,32 @@ class LrcModel {
       ref_keys.push_back(key);
     }
     EXPECT_EQ(diff_keys, ref_keys);  // Same diffs, same (page, id) order.
+    EXPECT_EQ(table.diff_count(), static_cast<int64_t>(ref.diff_store_.size()));
     EXPECT_EQ(pending, ref.pending_count_);
+    EXPECT_EQ(table.pending_count(), ref.pending_count_);
     EXPECT_EQ(static_cast<size_t>(covered_pages), ref.covered_.size());
+    int64_t owned = 0;
+    if (round_ != nullptr) {
+      owned = std::count_if(round_->owners.begin(), round_->owners.end(),
+                            [](NodeId n) { return n != kInvalidNode; });
+      EXPECT_EQ(owned, round_->owned_pages);
+    }
+    EXPECT_EQ(static_cast<size_t>(owned), ref.owner_hint_.size());
     const int64_t recount = diff_bytes + pending * (8 + 4 * static_cast<int64_t>(nodes)) +
-                            covered_pages * 4 * nodes + owned_pages_ * 8;
+                            covered_pages * 4 * nodes + owned * 8;
+    EXPECT_EQ(table.MemoryBytes(), ref.SubclassMemoryBytes());
     EXPECT_EQ(table.MemoryBytes(), recount);
-    ExpectSameTotals();
+  }
+
+  // At the end of an episode: every page resolved, then compared as stored.
+  void ExpectSameEverywhere(int nodes) {
+    for (PageId p = 0; p < static_cast<PageId>(table.size()); ++p) {
+      ExpectSamePage(p);
+    }
+    for (const auto& [p, v] : ref.pending_) {
+      ExpectSamePage(p);
+    }
+    ExpectSameLrc(nodes);
   }
 
   // LrcProtocol::FetchDiffs's requests, checked against the reference.
@@ -699,23 +757,14 @@ class LrcModel {
     for (PageId page : ref.OnBarrierReleased(self_)) {
       ref_pages[page] = PageView{false, false};
     }
-    table.ReleaseGc([&](PageId page) {
-      auto it = std::lower_bound(validators.begin(), validators.end(),
-                                 std::make_pair(page, kInvalidNode));
-      if (it == validators.end() || it->first != page || it->second == self_) {
-        return false;
-      }
-      table_pages[page] = PageView{false, false};
-      return true;
-    });
-    for (const auto& [page, v] : validators) {
-      if (static_cast<size_t>(page) >= owners_.size()) {
-        owners_.resize(static_cast<size_t>(page) + 1, kInvalidNode);
-      }
-      owned_pages_ += owners_[static_cast<size_t>(page)] == kInvalidNode ? 1 : 0;
-      owners_[static_cast<size_t>(page)] = v;
+    // LrcProtocol: the manager's fold, then each node's release.
+    if (validators.empty()) {
+      return;
     }
-    table.SetOwnerHints(owned_pages_);
+    round_ = FoldGcRound(round_.get(), std::move(validators));
+    table.ReleaseGc(round_->validators, self_,
+                    [&](PageId page) { table_pages[page] = PageView{false, false}; });
+    table.SetOwnerHints(round_->owned_pages);
     table.ClearDiffs();
   }
 
@@ -726,8 +775,7 @@ class LrcModel {
 
  private:
   NodeId self_;
-  std::vector<NodeId> owners_;  // The folded GC rounds' validators.
-  int64_t owned_pages_ = 0;
+  GcValidators round_;  // The latest GC round released (null before the first).
 };
 
 void RunLrcEpisode(uint64_t seed) {
@@ -835,7 +883,7 @@ void RunLrcEpisode(uint64_t seed) {
     for (PageId p : check) {
       model.ExpectSamePage(p);
     }
-    model.ExpectSameTotals();
+    model.ExpectSameLrc(nodes);
     if (::testing::Test::HasFailure()) {
       return;
     }
@@ -849,9 +897,9 @@ void RunLrcEpisode(uint64_t seed) {
 // The page's required stamps as a set: the reference keeps arrival order,
 // the table arrival order for eager notices and writer order for resolved
 // ones, and no reader depends on the order.
-std::vector<std::pair<NodeId, uint32_t>> SortedRequired(const HlrcPageTable& table, PageId page) {
+std::vector<std::pair<NodeId, uint32_t>> Sorted(const Required& required) {
   std::vector<std::pair<NodeId, uint32_t>> stamps;
-  for (const FlushStamp& s : table.get(page).required) {
+  for (const FlushStamp& s : required) {
     stamps.emplace_back(s.writer, s.id);
   }
   std::sort(stamps.begin(), stamps.end());
@@ -867,55 +915,80 @@ std::vector<std::pair<NodeId, uint32_t>> SortedRequired(const RefHlrc& ref, Page
   return stamps;
 }
 
-// One page after HlrcTable::Resolve: required stamps and whether the home
-// has applied them.
+// One page after HlrcTable::Resolve: the stored required stamps and whether
+// the home has applied them.
 void ExpectSameHlrcPage(const RefHlrc& ref, const HlrcPageTable& table, PageId page) {
-  EXPECT_EQ(SortedRequired(table, page), SortedRequired(ref, page)) << "page " << page;
+  EXPECT_EQ(Sorted(table.get(page).required), SortedRequired(ref, page)) << "page " << page;
   const RefHlrc::Required* req = ref.RequiredOf(page);
   EXPECT_EQ(table.RequiredApplied(page), req == nullptr || ref.AppliedSatisfies(page, *req))
       << "page " << page;
 }
 
-// Every page, once each has been resolved.
+// Every page any side knows, without resolving one (required stamps as
+// PeekRequired folds them), and a recount of the memory model: after every
+// step.
 void ExpectSameHlrc(const RefHlrc& ref, const HlrcPageTable& table, int nodes) {
+  std::set<PageId> all;
+  for (PageId page = 0; page < static_cast<PageId>(table.size()); ++page) {
+    all.insert(page);
+  }
+  for (const auto& [page, req] : ref.required_flush_) {
+    all.insert(page);
+  }
+  for (PageId page : Keys(ref.applied_flush_)) {
+    all.insert(page);
+  }
+  for (const auto& [page, reqs] : ref.pending_reqs_) {
+    all.insert(page);
+  }
+  for (const auto& [page, home] : ref.home_override_) {
+    all.insert(page);
+  }
+  for (const auto& [page, streak] : ref.writer_streak_) {
+    all.insert(page);
+  }
   int64_t stamps = 0;
   int64_t applied_pages = 0;
   int64_t overrides = 0;
   int64_t streaks = 0;
-  for (PageId page = 0; page < static_cast<PageId>(table.size()); ++page) {
-    const HlrcPageMeta& m = table.get(page);
+  for (PageId page : all) {
     const HlrcColdMeta& c = table.cold(page);
-    ExpectSameHlrcPage(ref, table, page);
+    const Required required = table.PeekRequired(page);
+    EXPECT_EQ(Sorted(required), SortedRequired(ref, page)) << "page " << page;
+    const RefHlrc::Required* req = ref.RequiredOf(page);
+    EXPECT_EQ(table.AppliedSatisfies(page, required),
+              req == nullptr || ref.AppliedSatisfies(page, *req))
+        << "page " << page;
     auto ait = ref.applied_flush_.find(page);
     EXPECT_EQ(!c.applied.empty(), ait != ref.applied_flush_.end()) << "page " << page;
     if (ait != ref.applied_flush_.end()) {
-      EXPECT_EQ(c.applied, ait->second);
+      EXPECT_EQ(c.applied, ait->second) << "page " << page;
     }
     auto pit = ref.pending_reqs_.find(page);
     const size_t ref_parked = pit == ref.pending_reqs_.end() ? 0 : pit->second.size();
-    ASSERT_EQ(c.parked.size(), ref_parked);
+    ASSERT_EQ(c.parked.size(), ref_parked) << "page " << page;
     for (size_t i = 0; i < c.parked.size(); ++i) {
       EXPECT_EQ(c.parked[i].requester, pit->second[i].requester);
-      EXPECT_EQ(c.parked[i].required.size(), pit->second[i].required.size());
+      EXPECT_EQ(Sorted(c.parked[i].required), [&] {
+        auto want = pit->second[i].required;
+        std::sort(want.begin(), want.end());
+        return want;
+      }()) << "page " << page;
     }
     auto oit = ref.home_override_.find(page);
-    EXPECT_EQ(c.home_override, oit == ref.home_override_.end() ? kInvalidNode : oit->second);
+    EXPECT_EQ(c.home_override, oit == ref.home_override_.end() ? kInvalidNode : oit->second)
+        << "page " << page;
     auto sit = ref.writer_streak_.find(page);
-    EXPECT_EQ(c.streak.writer != kInvalidNode, sit != ref.writer_streak_.end());
+    EXPECT_EQ(c.streak.writer != kInvalidNode, sit != ref.writer_streak_.end())
+        << "page " << page;
     if (sit != ref.writer_streak_.end()) {
       EXPECT_EQ(c.streak.writer, sit->second.writer);
       EXPECT_EQ(c.streak.count, sit->second.count);
     }
-    stamps += static_cast<int64_t>(m.required.size());
+    stamps += static_cast<int64_t>(required.size());
     applied_pages += c.applied.empty() ? 0 : 1;
     overrides += c.home_override == kInvalidNode ? 0 : 1;
     streaks += c.streak.writer == kInvalidNode ? 0 : 1;
-  }
-  for (const auto& [page, req] : ref.required_flush_) {
-    EXPECT_LT(page, static_cast<PageId>(table.size()));
-  }
-  for (PageId page : Keys(ref.applied_flush_)) {
-    EXPECT_LT(page, static_cast<PageId>(table.size()));
   }
   EXPECT_EQ(static_cast<size_t>(applied_pages), ref.applied_flush_.size());
   EXPECT_EQ(static_cast<size_t>(overrides), ref.home_override_.size());
@@ -959,7 +1032,8 @@ void RunHlrcEpisode(uint64_t seed) {
   };
   // A remote interval's write notices, HlrcProtocol::OnIntervalNotices
   // against the reference's per-page OnWriteNotice: pages mapped or homed
-  // here are taken eagerly, runs of the others go to the writer's summary.
+  // here are taken eagerly, runs of the others go to the writer's summary
+  // if they are at least kMinDeferredRun long and are stamped otherwise.
   auto apply_interval = [&](const PageList& pages) {
     NodeId w = self;
     while (w == self) {
@@ -968,14 +1042,24 @@ void RunHlrcEpisode(uint64_t seed) {
     const uint32_t id = ++next_id[static_cast<size_t>(w)];
     PageId run_first = -1;
     PageId run_last = -2;
+    auto flush_run = [&] {
+      if (run_first < 0) {
+        return;
+      }
+      if (run_last - run_first + 1 >= HlrcPageTable::kMinDeferredRun) {
+        table.DeferNotices(w, id, run_first, run_last);
+        return;
+      }
+      for (PageId p = run_first; p <= run_last; ++p) {
+        table.UpdateRequired(p, w, id);
+      }
+    };
     for (PageId p : pages) {
       ref.UpdateRequired(p, w, id);
       const bool home_here = home_of(p) == self;
       if (!home_here && unmapped[p]) {
         if (p != run_last + 1) {
-          if (run_first >= 0) {
-            table.DeferNotices(w, id, run_first, run_last);
-          }
+          flush_run();
           run_first = p;
         }
         run_last = p;
@@ -987,9 +1071,7 @@ void RunHlrcEpisode(uint64_t seed) {
       EXPECT_EQ(home_here && table.RequiredApplied(p), ref_keeps) << "page " << p;
       unmapped[p] = !ref_keeps;
     }
-    if (run_first >= 0) {
-      table.DeferNotices(w, id, run_first, run_last);
-    }
+    flush_run();
   };
 
   const int steps = static_cast<int>(rng.NextInt(20, 80));
@@ -1106,13 +1188,17 @@ void RunHlrcEpisode(uint64_t seed) {
         break;
       }
     }
-    EXPECT_EQ(table.MemoryBytes(), ref.SubclassMemoryBytes());
+    ExpectSameHlrc(ref, table, nodes);
     if (::testing::Test::HasFailure()) {
       return;
     }
   }
+  for (const auto& [page, req] : ref.required_flush_) {
+    table.Resolve(page);
+  }
   for (PageId page = 0; page < static_cast<PageId>(table.size()); ++page) {
     table.Resolve(page);
+    ExpectSameHlrcPage(ref, table, page);
   }
   ExpectSameHlrc(ref, table, nodes);
 }
@@ -1167,7 +1253,7 @@ TEST(PageMeta, PendingNoticeOutlivesIntervalLogClear) {
   EXPECT_EQ(watch.use_count(), 2);
   table.DropCopy(7);
   EXPECT_EQ(watch.use_count(), 1);  // The index keeps it until the GC release.
-  table.ReleaseGc([](PageId) { return true; });
+  table.ReleaseGc({{3, 2}, {7, 2}}, /*self=*/0, [](PageId) {});
   EXPECT_TRUE(watch.expired());
   EXPECT_EQ(table.pending_count(), 0);
 }
